@@ -608,6 +608,41 @@ mod tests {
     }
 
     #[test]
+    fn token_walk_spells_generated_plain_and_encrypted_logs() {
+        // The AST walk behind `TokenDistance` must never need its text
+        // fallback on the generated logs, plain or token-encrypted, and must
+        // agree with the rendered-and-lexed oracle bit for bit.
+        use dpe_distance::{jaccard_distance, QueryDistance, TokenDistance};
+        use dpe_sql::query_tokens;
+        use dpe_sql::tokens::token_set_of_text;
+        use dpe_workload::{LogConfig, LogGenerator};
+        let plain = LogGenerator::generate(&LogConfig {
+            queries: 300,
+            seed: 7,
+            ..LogConfig::default()
+        });
+        let enc = TokenDpe::new(&master()).encrypt_log(&plain).unwrap();
+        for log in [&plain, &enc] {
+            for q in log {
+                assert!(query_tokens(q).is_some(), "fell back on {q}");
+            }
+            let lexed: Vec<_> = log[..80]
+                .iter()
+                .map(|q| token_set_of_text(&q.to_string()).unwrap())
+                .collect();
+            for (a, la) in log.iter().zip(&lexed) {
+                for (b, lb) in log.iter().zip(&lexed) {
+                    assert_eq!(
+                        TokenDistance.distance(a, b).unwrap().to_bits(),
+                        jaccard_distance(la, lb).to_bits(),
+                        "{a}  vs  {b}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn token_scheme_is_deterministic_per_kind() {
         let mut scheme = TokenDpe::new(&master());
         let e1 = scheme

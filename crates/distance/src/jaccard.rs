@@ -1,5 +1,6 @@
 //! The Jaccard set distance `1 − |A ∩ B| / |A ∪ B|`.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 /// Jaccard distance between two sets.
@@ -11,11 +12,32 @@ use std::collections::BTreeSet;
 /// and `u` are small integers, equal inputs produce bit-equal outputs — the
 /// property the DPE verifier depends on.
 pub fn jaccard_distance<T: Ord>(a: &BTreeSet<T>, b: &BTreeSet<T>) -> f64 {
-    if a.is_empty() && b.is_empty() {
+    from_counts(a.len(), b.len(), a.intersection(b).count())
+}
+
+/// [`jaccard_distance`] over two sorted, deduplicated slices, by one merge
+/// pass; the same arithmetic, so equal sets give bit-equal results.
+pub fn jaccard_distance_sorted<T: Ord>(a: &[T], b: &[T]) -> f64 {
+    let (mut i, mut j, mut intersection) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                intersection += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    from_counts(a.len(), b.len(), intersection)
+}
+
+fn from_counts(a: usize, b: usize, intersection: usize) -> f64 {
+    if a == 0 && b == 0 {
         return 0.0;
     }
-    let intersection = a.intersection(b).count();
-    let union = a.len() + b.len() - intersection;
+    let union = a + b - intersection;
     1.0 - intersection as f64 / union as f64
 }
 
@@ -64,6 +86,27 @@ mod tests {
         assert_eq!(jaccard_distance(&a, &b), jaccard_distance(&b, &a));
         let d = jaccard_distance(&a, &b);
         assert!((0.0..=1.0).contains(&d));
+    }
+
+    #[test]
+    fn sorted_slices_match_sets_bitwise() {
+        let sets = [
+            set(&[]),
+            set(&["a"]),
+            set(&["a", "b"]),
+            set(&["b", "c", "d"]),
+            set(&["a", "c", "e", "g"]),
+        ];
+        for a in &sets {
+            for b in &sets {
+                let (va, vb): (Vec<_>, Vec<_>) = (a.iter().collect(), b.iter().collect());
+                assert_eq!(
+                    jaccard_distance_sorted(&va, &vb).to_bits(),
+                    jaccard_distance(a, b).to_bits(),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,16 +1,27 @@
 //! Token-based query-string distance (the paper's Definition 3).
 
-use crate::jaccard::jaccard_distance;
+use crate::jaccard::{jaccard_distance, jaccard_distance_sorted};
 use crate::measure::{DistanceError, QueryDistance};
-use dpe_sql::{token_set, Query};
+use dpe_sql::{query_tokens, token_set, Query};
 
 /// `d_Token(Q1, Q2) = 1 − |tokens(Q1) ∩ tokens(Q2)| / |tokens(Q1) ∪ tokens(Q2)|`.
+///
+/// The result equals, bit for bit, the Jaccard distance of the token sets
+/// lexed from the two canonical renderings (`dpe_sql::token_set_of_text`,
+/// the oracle). It is computed without rendering: each query's AST is
+/// walked once into a sorted token list ([`query_tokens`]) and the two lists
+/// are merge-counted, several times cheaper than rendering and re-lexing
+/// (README, "Perf trajectory"). A query the walk cannot spell falls back to
+/// [`token_set`] on both sides.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TokenDistance;
 
 impl QueryDistance for TokenDistance {
     fn distance(&self, a: &Query, b: &Query) -> Result<f64, DistanceError> {
-        Ok(jaccard_distance(&token_set(a), &token_set(b)))
+        Ok(match (query_tokens(a), query_tokens(b)) {
+            (Some(ta), Some(tb)) => jaccard_distance_sorted(&ta, &tb),
+            _ => jaccard_distance(&token_set(a), &token_set(b)),
+        })
     }
 
     fn name(&self) -> &'static str {

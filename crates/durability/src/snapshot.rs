@@ -120,7 +120,8 @@ pub fn decode_snapshot(bytes: &[u8], path: &str) -> Result<Vec<ShardSnapshot>, D
     Ok(shards)
 }
 
-/// Writes a snapshot image atomically: `<path>.tmp` + fsync + rename.
+/// Writes a snapshot image atomically: `<path>.tmp` + fsync + rename +
+/// fsync of the directory.
 pub fn write_snapshot_file(path: &Path, image: &[u8]) -> Result<(), DurabilityError> {
     let tmp = path.with_extension("dps.tmp");
     let ctx = |what: &str| format!("{what} {}", tmp.display());
@@ -132,6 +133,16 @@ pub fn write_snapshot_file(path: &Path, image: &[u8]) -> Result<(), DurabilityEr
     drop(f);
     fs::rename(&tmp, path)
         .map_err(|e| DurabilityError::io(format!("renaming {} into place", tmp.display()), &e))?;
+    // The rename is a change to the directory, not to the file: until the
+    // directory itself is synced, a crash can forget it, leaving no
+    // `snap-<seq>.dps` even though the checkpoint already reset the WAL.
+    let dir = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| DurabilityError::io(format!("syncing directory {}", dir.display()), &e))?;
     Ok(())
 }
 

@@ -23,7 +23,7 @@ impl fmt::Display for SelectItem {
 
 impl Expr {
     /// Precedence for printing: OR(1) < AND(2) < NOT(3) < atoms(4).
-    fn precedence(&self) -> u8 {
+    pub(crate) fn precedence(&self) -> u8 {
         match self {
             Expr::Or(_, _) => 1,
             Expr::And(_, _) => 2,
