@@ -4,7 +4,7 @@
 
 use crate::error::CoreError;
 use crate::scheme::{QueryEncryptor, StructuralDpe, TokenDpe};
-use dpe_distance::DistanceMatrix;
+use dpe_distance::{DistanceError, DistanceMatrix};
 use dpe_mining::{
     adjusted_rand_index, complete_link, db_outliers, dbscan, kmedoids, rand_index, DbscanConfig,
     DbscanLabel, OutlierConfig,
@@ -45,10 +45,14 @@ pub fn token_commuting_square(scheme: &mut TokenDpe, q: &Query) -> Result<bool, 
             tok.to_string() // keywords, operators, punctuation
         }
     };
-    let enc_of_c: BTreeSet<String> = token_set(q).iter().map(|t| enc_of_token(t)).collect();
+    let enc_of_c: BTreeSet<String> = token_set(q)
+        .map_err(DistanceError::from)?
+        .iter()
+        .map(|t| enc_of_token(t))
+        .collect();
 
     // Right path: Enc then c.
-    let c_of_enc = token_set(&scheme.encrypt_query(q)?);
+    let c_of_enc = token_set(&scheme.encrypt_query(q)?).map_err(DistanceError::from)?;
 
     Ok(enc_of_c == c_of_enc)
 }

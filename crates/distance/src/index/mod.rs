@@ -6,12 +6,9 @@
 //! per-anchor queries (kNN, range): a pivot-based vantage-point tree
 //! ([`VpTree`]) answers them **exactly** — bit-identical to the matrix
 //! paths — while triangle-inequality pruning skips most distance
-//! evaluations, and a MinHash LSH candidate generator ([`LshIndex`]) trades
-//! a recall guarantee for even fewer evaluations in approximate mode (every
-//! surviving candidate is *exactly rechecked*, so false positives are
-//! impossible; only misses are).
+//! evaluations.
 //!
-//! Both indexes read distances through [`DistanceSource`], which has two
+//! The tree reads distances through [`DistanceSource`], which has two
 //! interchangeable backends:
 //!
 //! * [`MatrixSource`] — O(1) lookups into an already-materialized packed
@@ -32,10 +29,8 @@
 //! actually computed versus how many the index proved irrelevant. For a
 //! [`VpTree`] query over `n` items, `computed + pruned == n` always holds.
 
-mod lsh;
 mod vptree;
 
-pub use lsh::{hash_feature, LshConfig, LshIndex};
 pub use vptree::VpTree;
 
 use crate::matrix::DistanceMatrix;

@@ -15,8 +15,8 @@
 //! materializes pairwise distances for the mining algorithms. The matrix
 //! engine stores only the strict upper triangle (`n(n−1)/2` packed cells —
 //! half the memory of a full n×n grid), grows **incrementally**
-//! ([`matrix::DistanceMatrix::extend`] / [`matrix::MatrixBuilder`] compute
-//! only the new pairs when queries are appended), and parallelizes over
+//! ([`matrix::DistanceMatrix::extend`] computes only the new pairs when
+//! queries are appended), and parallelizes over
 //! contiguous row ranges written in place, with
 //! [`matrix::QueryDistanceFactory`] handing each worker its own measure —
 //! so even the engine-backed result-distance measure runs on the parallel
@@ -25,11 +25,9 @@
 //! [`index`] escapes the matrix's O(n²) wall for the per-anchor queries:
 //! a vantage-point tree ([`index::VpTree`]) answers kNN and range queries
 //! **bit-identically** to the matrix paths while triangle-inequality
-//! pruning skips most distance evaluations, and a MinHash LSH recheck
-//! index ([`index::LshIndex`]) trades recall for even fewer evaluations.
-//! Both read distances through [`index::DistanceSource`] — a packed matrix
-//! or on-demand measure calls — so they serve stores the matrix could
-//! never materialize.
+//! pruning skips most distance evaluations. It reads distances through
+//! [`index::DistanceSource`] — a packed matrix or on-demand measure calls —
+//! so it serves stores the matrix could never materialize.
 //!
 //! All distances are **exact** rational computations rendered into `f64`
 //! as a final step: numerator and denominator are set cardinalities, so
@@ -48,12 +46,9 @@ pub mod structure_distance;
 pub mod token_distance;
 
 pub use access_area::{AccessAreaDistance, AttributeDomain, DomainCatalog, IntervalSet};
-pub use index::{
-    hash_feature, DistanceSource, LshConfig, LshIndex, MatrixSource, MeasureSource, QueryCounters,
-    VpTree,
-};
+pub use index::{DistanceSource, MatrixSource, MeasureSource, QueryCounters, VpTree};
 pub use jaccard::jaccard_distance;
-pub use matrix::{DistanceMatrix, MatrixBuilder, QueryDistanceFactory};
+pub use matrix::{DistanceMatrix, QueryDistanceFactory};
 pub use measure::{DistanceError, QueryDistance};
 pub use result_distance::{ResultConnection, ResultDistance, ResultDistanceFactory};
 pub use structure_distance::StructureDistance;

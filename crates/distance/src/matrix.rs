@@ -12,8 +12,8 @@
 //! * **Incremental growth.** Appending item `n` appends exactly `n` cells
 //!   at the end of the packed buffer — no re-indexing of existing cells.
 //!   [`DistanceMatrix::extend`] grows a matrix by `m` queries with exactly
-//!   `m·n + m(m−1)/2` distance calls, and [`MatrixBuilder`] owns the query
-//!   list so streaming workloads never recompute old pairs.
+//!   `m·n + m(m−1)/2` distance calls, so streaming workloads never
+//!   recompute old pairs, and [`DistanceMatrix::truncate`] undoes it.
 //! * **Range parallelism.** [`DistanceMatrix::compute_parallel`] deals
 //!   contiguous row ranges (balanced by cell count, since row `j` costs `j`
 //!   calls) to std scoped threads; each worker writes directly into its
@@ -107,8 +107,9 @@ impl DistanceMatrix {
     /// of the packed buffer), so the result is bit-identical to a full
     /// recompute over the concatenated list.
     ///
-    /// On error the matrix is left exactly as it was. Panics when
-    /// `existing.len()` differs from the matrix size.
+    /// On error the matrix is left exactly as it was (rolled back with
+    /// [`DistanceMatrix::truncate`]). Panics when `existing.len()` differs
+    /// from the matrix size.
     pub fn extend<M: QueryDistance>(
         &mut self,
         existing: &[Query],
@@ -122,9 +123,8 @@ impl DistanceMatrix {
             self.n,
             existing.len()
         );
-        let old_cells = self.data.len();
         self.data
-            .reserve_exact(packed_cells(self.n + new.len()) - old_cells);
+            .reserve_exact(packed_cells(self.n + new.len()) - self.data.len());
         for (a, q) in new.iter().enumerate() {
             for i in 0..self.n + a {
                 let other = if i < self.n {
@@ -135,7 +135,7 @@ impl DistanceMatrix {
                 match measure.distance(other, q) {
                     Ok(d) => self.data.push(d),
                     Err(e) => {
-                        self.data.truncate(old_cells);
+                        self.truncate(self.n);
                         return Err(e);
                     }
                 }
@@ -143,6 +143,16 @@ impl DistanceMatrix {
         }
         self.n += new.len();
         Ok(())
+    }
+
+    /// Shrinks the matrix to its first `n` items, dropping every cell of
+    /// the later ones — the one rollback of an extend, used by
+    /// [`DistanceMatrix::extend`] on a distance error and by callers whose
+    /// step after the extend fails. Panics when `n` exceeds the size.
+    pub fn truncate(&mut self, n: usize) {
+        assert!(n <= self.n, "truncate: {n} items asked of {}", self.n);
+        self.n = n;
+        self.data.truncate(packed_cells(n));
     }
 
     /// Computes all pairwise distances in parallel over `threads` workers.
@@ -328,77 +338,6 @@ impl Default for DistanceMatrix {
     }
 }
 
-/// Owns a query list together with its distance matrix and grows both
-/// incrementally — the streaming front-end over
-/// [`DistanceMatrix::extend`]. Pushing query number `n` costs exactly `n`
-/// distance calls; nothing already computed is ever recomputed, so a
-/// workload that trickles in pays the same total cost as one batch
-/// computation.
-#[derive(Debug, Clone, Default)]
-pub struct MatrixBuilder {
-    queries: Vec<Query>,
-    matrix: DistanceMatrix,
-}
-
-impl MatrixBuilder {
-    /// An empty builder.
-    pub fn new() -> MatrixBuilder {
-        MatrixBuilder::default()
-    }
-
-    /// Appends one query, computing its distances to every query already
-    /// held. Returns the new query's index. On error the builder is
-    /// unchanged.
-    pub fn push<M: QueryDistance>(
-        &mut self,
-        query: Query,
-        measure: &M,
-    ) -> Result<usize, DistanceError> {
-        self.matrix
-            .extend(&self.queries, std::slice::from_ref(&query), measure)?;
-        self.queries.push(query);
-        Ok(self.queries.len() - 1)
-    }
-
-    /// Appends a batch of queries (only the new pairs are computed). On
-    /// error the builder is unchanged and the caller keeps the batch, so a
-    /// failed batch can be fixed up and retried.
-    pub fn extend<M: QueryDistance>(
-        &mut self,
-        new: &[Query],
-        measure: &M,
-    ) -> Result<(), DistanceError> {
-        self.matrix.extend(&self.queries, new, measure)?;
-        self.queries.extend_from_slice(new);
-        Ok(())
-    }
-
-    /// Queries held so far, in insertion order (matrix indices match).
-    pub fn queries(&self) -> &[Query] {
-        &self.queries
-    }
-
-    /// The matrix over all queries pushed so far.
-    pub fn matrix(&self) -> &DistanceMatrix {
-        &self.matrix
-    }
-
-    /// Number of queries held.
-    pub fn len(&self) -> usize {
-        self.queries.len()
-    }
-
-    /// `true` before the first push.
-    pub fn is_empty(&self) -> bool {
-        self.queries.is_empty()
-    }
-
-    /// Consumes the builder, returning the query list and the matrix.
-    pub fn into_parts(self) -> (Vec<Query>, DistanceMatrix) {
-        (self.queries, self.matrix)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -569,6 +508,43 @@ mod tests {
             m.extend(head, tail, &TokenDistance).unwrap();
             assert!(full.identical(&m), "split = {split}");
         }
+        // One query at a time, then the rest as one batch.
+        let mut m = DistanceMatrix::new();
+        for t in 0..5 {
+            m.extend(&all[..t], &all[t..t + 1], &TokenDistance).unwrap();
+        }
+        m.extend(&all[..5], &all[5..], &TokenDistance).unwrap();
+        assert!(full.identical(&m), "one by one, then a batch");
+    }
+
+    #[test]
+    fn extend_by_one_costs_n_calls() {
+        let all = queries(7);
+        let mut m = DistanceMatrix::new();
+        let counting = Counting(Cell::new(0));
+        for t in 0..all.len() {
+            let before = counting.0.get();
+            m.extend(&all[..t], &all[t..t + 1], &counting).unwrap();
+            assert_eq!(
+                counting.0.get() - before,
+                t,
+                "item #{t} must cost {t} calls"
+            );
+        }
+    }
+
+    #[test]
+    fn truncate_undoes_extend_bitwise() {
+        let all = queries(9);
+        let before = DistanceMatrix::compute(&all[..6], &TokenDistance).unwrap();
+        let mut m = before.clone();
+        m.extend(&all[..6], &all[6..], &TokenDistance).unwrap();
+        m.truncate(6);
+        assert!(m.identical(&before));
+        assert_eq!(m.packed_len(), before.packed_len());
+        // The truncated matrix extends like the original.
+        m.extend(&all[..6], &all[6..], &TokenDistance).unwrap();
+        assert!(m.identical(&DistanceMatrix::compute(&all, &TokenDistance).unwrap()));
     }
 
     #[test]
@@ -639,42 +615,5 @@ mod tests {
         // Wrong cell count for the claimed n is rejected, not misindexed.
         assert!(DistanceMatrix::from_packed(11, m.as_packed()[1..].to_vec()).is_none());
         assert!(DistanceMatrix::from_packed(0, Vec::new()).is_some());
-    }
-
-    #[test]
-    fn builder_grows_incrementally_and_matches_batch() {
-        let all = queries(13);
-        let full = DistanceMatrix::compute(&all, &TokenDistance).unwrap();
-
-        let mut b = MatrixBuilder::new();
-        assert!(b.is_empty());
-        for q in &all[..5] {
-            b.push(q.clone(), &TokenDistance).unwrap();
-        }
-        b.extend(&all[5..], &TokenDistance).unwrap();
-        assert_eq!(b.len(), 13);
-        assert_eq!(b.queries(), &all[..]);
-        assert!(b.matrix().identical(&full));
-
-        let (qs, m) = b.into_parts();
-        assert_eq!(qs.len(), 13);
-        assert!(m.identical(&full));
-    }
-
-    #[test]
-    fn builder_push_costs_n_calls() {
-        let all = queries(7);
-        let mut b = MatrixBuilder::new();
-        let counting = Counting(Cell::new(0));
-        for (i, q) in all.iter().enumerate() {
-            let before = counting.0.get();
-            let idx = b.push(q.clone(), &counting).unwrap();
-            assert_eq!(idx, i);
-            assert_eq!(
-                counting.0.get() - before,
-                i,
-                "push #{i} must cost {i} calls"
-            );
-        }
     }
 }

@@ -1,17 +1,20 @@
 //! The common distance-measure interface.
 
 use dpe_minidb::DbError;
-use dpe_sql::Query;
+use dpe_sql::{Query, SqlError};
 use std::fmt;
 
-/// Errors surfaced while computing a distance (only the result measure can
-/// fail — it executes queries).
+/// Errors surfaced while computing a distance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DistanceError {
     /// Query execution failed (result distance).
     Execution(DbError),
     /// An attribute lacks a domain entry (access-area distance).
     MissingDomain(String),
+    /// A query's canonical rendering does not lex, so it has no token set
+    /// (token distance): e.g. `LIMIT` above `i64::MAX`, or an identifier
+    /// such as `a-b`.
+    Unlexable(SqlError),
 }
 
 impl fmt::Display for DistanceError {
@@ -21,6 +24,7 @@ impl fmt::Display for DistanceError {
             DistanceError::MissingDomain(a) => {
                 write!(f, "attribute {a} has no domain in the catalog")
             }
+            DistanceError::Unlexable(e) => write!(f, "query rendering does not lex: {e}"),
         }
     }
 }
@@ -30,6 +34,12 @@ impl std::error::Error for DistanceError {}
 impl From<DbError> for DistanceError {
     fn from(e: DbError) -> Self {
         DistanceError::Execution(e)
+    }
+}
+
+impl From<SqlError> for DistanceError {
+    fn from(e: SqlError) -> Self {
+        DistanceError::Unlexable(e)
     }
 }
 

@@ -12,7 +12,8 @@ use dpe_sql::{query_tokens, token_set, Query};
 /// walked once into a sorted token list ([`query_tokens`]) and the two lists
 /// are merge-counted, several times cheaper than rendering and re-lexing
 /// (README, "Perf trajectory"). A query the walk cannot spell falls back to
-/// [`token_set`] on both sides.
+/// [`token_set`] on both sides, and a rendering that does not lex is
+/// [`DistanceError::Unlexable`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TokenDistance;
 
@@ -20,7 +21,7 @@ impl QueryDistance for TokenDistance {
     fn distance(&self, a: &Query, b: &Query) -> Result<f64, DistanceError> {
         Ok(match (query_tokens(a), query_tokens(b)) {
             (Some(ta), Some(tb)) => jaccard_distance_sorted(&ta, &tb),
-            _ => jaccard_distance(&token_set(a), &token_set(b)),
+            _ => jaccard_distance(&token_set(a)?, &token_set(b)?),
         })
     }
 

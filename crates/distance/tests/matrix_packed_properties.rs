@@ -1,11 +1,11 @@
 //! Property tests for the packed incremental matrix engine: for random
 //! query sets, every construction path — sequential [`DistanceMatrix::compute`],
 //! [`DistanceMatrix::compute_parallel`] at 1, 2 and 7 threads, a matrix
-//! grown by [`DistanceMatrix::extend`] from a random split, and a
-//! [`MatrixBuilder`] fed one query at a time — must produce **bit-identical**
-//! matrices, all packed to exactly `n(n−1)/2` cells.
+//! grown by [`DistanceMatrix::extend`] from a random split, and one grown
+//! by [`DistanceMatrix::extend`] one query at a time — must produce
+//! **bit-identical** matrices, all packed to exactly `n(n−1)/2` cells.
 
-use dpe_distance::{DistanceMatrix, MatrixBuilder, StructureDistance, TokenDistance};
+use dpe_distance::{DistanceMatrix, StructureDistance, TokenDistance};
 use dpe_workload::{LogConfig, LogGenerator};
 use proptest::prelude::*;
 
@@ -43,11 +43,11 @@ proptest! {
         extended.extend(head, tail, &TokenDistance).unwrap();
         prop_assert!(seq.identical(&extended), "extend at split {} diverged", split);
 
-        let mut builder = MatrixBuilder::new();
-        for q in &queries {
-            builder.push(q.clone(), &TokenDistance).unwrap();
+        let mut one_by_one = DistanceMatrix::new();
+        for t in 0..queries.len() {
+            one_by_one.extend(&queries[..t], &queries[t..t + 1], &TokenDistance).unwrap();
         }
-        prop_assert!(seq.identical(builder.matrix()), "builder diverged");
+        prop_assert!(seq.identical(&one_by_one), "one-by-one extend diverged");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! snapshot-then-reset-WALs sequence atomic with respect to ingests.
 
 use crate::snapshot::{encode_snapshot, read_snapshot_file, write_snapshot_file, ShardSnapshot};
-use crate::wal::{read_wal, FileSink, WalRecord, WalSink, WalWriter};
+use crate::wal::{read_wal, AppendError, FileSink, WalRecord, WalSink, WalWriter};
 use crate::DurabilityError;
 use dpe_distance::DistanceMatrix;
 use dpe_sql::Query;
@@ -27,7 +27,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Opens sinks for shard WALs — the seam [`crate::testkit::FailpointFs`]
-/// uses to inject crash behavior under the production engine.
+/// and [`crate::testkit::ErrorFs`] use to inject faults under the
+/// production engine.
 pub trait SinkFactory: Send + Sync {
     /// Opens (creating if needed) the append sink for one shard's WAL.
     fn open_wal(&self, shard: usize, path: &Path) -> std::io::Result<Box<dyn WalSink>>;
@@ -295,7 +296,13 @@ impl Durability {
     }
 
     /// Appends one ingest batch to `shard`'s WAL and syncs it. `epoch` is
-    /// the shard's epoch *after* the batch was applied.
+    /// the shard's epoch *after* the batch is applied.
+    ///
+    /// On error the batch is not in the log and the log is still a valid
+    /// prefix (see [`WalWriter::append`]); the caller must not apply the
+    /// batch. [`DurabilityError::WalFenced`] means an earlier failure
+    /// could not be rolled back, and appends stay refused until the next
+    /// successful [`Durability::checkpoint`].
     ///
     /// Contract: the caller holds `shard`'s write lock, so appends for
     /// one shard are serialized and ordered identically to the in-memory
@@ -313,8 +320,12 @@ impl Durability {
         let mut wal = self.wals[shard]
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        wal.append(&record)
-            .map_err(io_err(format!("appending to shard {shard}'s WAL")))
+        wal.append(&record).map_err(|e| match e {
+            AppendError::Io(e) => {
+                DurabilityError::io(format!("appending to shard {shard}'s WAL"), &e)
+            }
+            AppendError::Fenced => DurabilityError::WalFenced { shard },
+        })
     }
 
     /// Writes an epoch-consistent snapshot of every shard, then resets

@@ -9,8 +9,8 @@
 //!   ingest ──▶ │ shard (memory): queries + packed matrix    │──▶ serve
 //!              │        epoch e  (bumps on every ingest)    │
 //!              └──────────────┬─────────────────────────────┘
-//!                             │ same write-lock hold
-//!                             ▼
+//!                             │ same write-lock hold, before the
+//!                             ▼ shard commits (visible iff durable)
 //!              wal/shard-i.wal   ← frame per ingest: [len][fnv64][payload]
 //!                             │ checkpoint (all shards, one epoch cut)
 //!                             ▼
@@ -52,11 +52,17 @@
 //! * An **epoch gap** (WAL records that do not chain contiguously from
 //!   the snapshot epoch) means records were lost out of order and
 //!   surfaces as [`DurabilityError::EpochGap`].
+//! * A **returned I/O error** on append or sync truncates the log back to
+//!   its last good length ([`wal::WalWriter::append`]), so the log stays
+//!   a valid prefix and the caller rejects the batch. If that truncate
+//!   fails too, appends are refused with [`DurabilityError::WalFenced`]
+//!   until a checkpoint resets the log.
 //!
 //! [`testkit::FailpointFs`] injects the harshest crash model — writes
 //! acknowledged to the caller but never reaching the disk past a byte
 //! budget — which is what the server's kill-after-every-record sweep
-//! drives.
+//! drives; [`testkit::ErrorFs`] makes one append return an error, which
+//! is what its error sweep drives.
 
 #![forbid(unsafe_code)]
 
@@ -109,6 +115,13 @@ pub enum DurabilityError {
         /// Epoch it actually carried.
         found: u64,
     },
+    /// The shard's WAL refuses appends: an earlier failed append could
+    /// not be truncated away, so the log may end in a partial frame. A
+    /// successful checkpoint resets the log and lifts the refusal.
+    WalFenced {
+        /// Shard whose log refuses appends.
+        shard: usize,
+    },
     /// The directory's manifest disagrees with the caller's configuration.
     Manifest(String),
     /// A fresh durable server was pointed at a directory that already
@@ -144,6 +157,11 @@ impl fmt::Display for DurabilityError {
             } => write!(
                 f,
                 "epoch gap in shard {shard}'s WAL: expected epoch {expected}, found {found}"
+            ),
+            DurabilityError::WalFenced { shard } => write!(
+                f,
+                "shard {shard}'s WAL refuses appends until a checkpoint: a failed append \
+                 could not be rolled back"
             ),
             DurabilityError::Manifest(why) => write!(f, "manifest mismatch: {why}"),
             DurabilityError::ExistingState { dir } => write!(

@@ -22,9 +22,15 @@
 //!   [`DurabilityError::CorruptRecord`] with the byte offset, never as a
 //!   silently different replay.
 //!
-//! Appends go through the [`WalSink`] trait so the crash-recovery sweep
+//! A failed append leaves no trace: when the sink returns an error,
+//! [`WalWriter::append`] truncates it back to the last good length, so
+//! the log is still a valid prefix and the next frame lands where the
+//! failed one would have.
+//!
+//! Appends go through the [`WalSink`] trait so the crash-recovery sweeps
 //! can substitute [`crate::testkit::FailpointFs`] sinks that drop
-//! acknowledged bytes past a budget — the harshest crash model.
+//! acknowledged bytes past a budget — the harshest crash model — and
+//! [`crate::testkit::ErrorFs`] sinks that return errors.
 
 use crate::codec::{read_queries, write_queries, Reader, Writer};
 use crate::{fnv1a64, DurabilityError};
@@ -180,8 +186,8 @@ pub fn read_wal(bytes: &[u8], shard: usize) -> Result<WalReplay, DurabilityError
 }
 
 /// Destination of WAL bytes. The production implementation is
-/// [`FileSink`]; [`crate::testkit::FailpointFs`] substitutes
-/// budget-limited sinks for crash injection.
+/// [`FileSink`]; [`crate::testkit::FailpointFs`] and
+/// [`crate::testkit::ErrorFs`] substitute fault-injecting sinks.
 pub trait WalSink: Send {
     /// Appends bytes at the end of the log.
     fn append(&mut self, bytes: &[u8]) -> std::io::Result<()>;
@@ -221,6 +227,19 @@ impl WalSink for FileSink {
     }
 }
 
+/// Why [`WalWriter::append`] refused or failed a record.
+#[derive(Debug)]
+pub enum AppendError {
+    /// The sink's `append` or `sync` returned this error. The log was
+    /// truncated back to its last good length, so it is still a valid
+    /// prefix and later appends may proceed.
+    Io(std::io::Error),
+    /// An earlier failed append could not be truncated away, so the log
+    /// may end in a partial frame. Every append is refused until
+    /// [`WalWriter::reset`] succeeds.
+    Fenced,
+}
+
 /// Append half of one shard's WAL: frames records onto a sink and tracks
 /// byte/record counters for [`crate::DurabilityStats`].
 pub struct WalWriter {
@@ -229,6 +248,9 @@ pub struct WalWriter {
     len: u64,
     /// Records appended since open.
     appended: u64,
+    /// Set when a failed append could not be rolled back; cleared by a
+    /// successful [`WalWriter::reset`].
+    fenced: bool,
 }
 
 impl std::fmt::Debug for WalWriter {
@@ -236,6 +258,7 @@ impl std::fmt::Debug for WalWriter {
         f.debug_struct("WalWriter")
             .field("len", &self.len)
             .field("appended", &self.appended)
+            .field("fenced", &self.fenced)
             .finish_non_exhaustive()
     }
 }
@@ -256,24 +279,37 @@ impl WalWriter {
             sink,
             len,
             appended: 0,
+            fenced: false,
         })
     }
 
-    /// Appends one record frame and syncs it.
-    pub fn append(&mut self, record: &WalRecord) -> std::io::Result<()> {
+    /// Appends one record frame and syncs it. When the sink's `append` or
+    /// `sync` fails, the sink is truncated back to the last good length,
+    /// so the log stays a valid prefix after any single I/O error: the
+    /// record is not in the log, and the next append lands where it would
+    /// have. If that truncate fails too, the writer is fenced.
+    pub fn append(&mut self, record: &WalRecord) -> Result<(), AppendError> {
+        if self.fenced {
+            return Err(AppendError::Fenced);
+        }
         let frame = record.encode_frame();
-        self.sink.append(&frame)?;
-        self.sink.sync()?;
+        if let Err(e) = self.sink.append(&frame).and_then(|()| self.sink.sync()) {
+            if self.sink.truncate_to(self.len).is_err() {
+                self.fenced = true;
+            }
+            return Err(AppendError::Io(e));
+        }
         self.len += frame.len() as u64;
         self.appended += 1;
         Ok(())
     }
 
     /// Drops every frame (after a checkpoint made them redundant),
-    /// keeping only the magic header.
+    /// keeping only the magic header. Success also lifts a fence.
     pub fn reset(&mut self) -> std::io::Result<()> {
         self.sink.truncate_to(WAL_MAGIC.len() as u64)?;
         self.len = WAL_MAGIC.len() as u64;
+        self.fenced = false;
         Ok(())
     }
 

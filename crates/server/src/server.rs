@@ -31,7 +31,7 @@ use crate::scheduler::{group_stable_by, SchedulerStats, ShardQueues};
 use crate::shard::{Shard, ShardIndex};
 use crate::sql::SqlTable;
 use dpe_distance::QueryDistance;
-use dpe_durability::{Durability, DurabilityStats, ShardStateRef};
+use dpe_durability::{Durability, DurabilityError, DurabilityStats, ShardStateRef};
 use dpe_mining::{Dendrogram, Linkage};
 use dpe_sql::Query;
 use std::collections::{BTreeMap, VecDeque};
@@ -197,18 +197,19 @@ impl<M: QueryDistance + Sync> ServerBuilder<M> {
     /// created at `path` (refused with a typed error if it already holds
     /// durable state — recover from it with [`ServerBuilder::recover`]
     /// instead). Each ingest appends its batch to the owning shard's WAL
-    /// inside the same write-lock hold as the matrix extend and epoch
-    /// bump; [`Server::checkpoint`] folds the logs into an
-    /// epoch-consistent snapshot.
+    /// inside the same write-lock hold as the matrix extend, and commits
+    /// (epoch bump) only once the append is synced; [`Server::checkpoint`]
+    /// folds the logs into an epoch-consistent snapshot.
     pub fn durability(mut self, path: impl Into<PathBuf>) -> Self {
         self.durability = Some(path.into());
         self
     }
 
     /// Supplies a pre-opened [`Durability`] engine instead of a path —
-    /// the seam the crash-recovery sweep uses to inject
-    /// [`dpe_durability::testkit::FailpointFs`] fault sinks under an
-    /// otherwise production server. Takes precedence over
+    /// the seam the crash-recovery sweeps use to inject
+    /// [`dpe_durability::testkit::FailpointFs`] and
+    /// [`dpe_durability::testkit::ErrorFs`] fault sinks under an otherwise
+    /// production server. Takes precedence over
     /// [`ServerBuilder::durability`].
     pub fn durability_engine(mut self, engine: Arc<Durability>) -> Self {
         self.durability_engine = Some(engine);
@@ -239,110 +240,47 @@ impl<M: QueryDistance + Sync> ServerBuilder<M> {
     /// errors. Configuration bugs (0 shards, non-metric index) still
     /// panic — they are programmer errors, not runtime conditions.
     pub fn try_build(self) -> Result<Server<M>, ServerError> {
-        let ServerBuilder {
-            measure,
-            shards,
-            cache_capacity,
-            metric_index,
-            durability,
-            durability_engine,
-        } = self;
-        if let Some(n) = shards {
-            assert!(n > 0, "a server needs at least one shard");
-        }
-        let engine = match (durability_engine, durability) {
-            (Some(engine), _) => Some(engine),
-            (None, Some(path)) => Some(Arc::new(Durability::create(path, shards.unwrap_or(1))?)),
-            (None, None) => None,
-        };
-        // A pre-opened engine knows its shard count; an explicit builder
-        // count must agree with it.
-        let shards = match (&engine, shards) {
-            (Some(e), Some(n)) if e.shards() != n => {
-                return Err(ServerError::Durability(
-                    dpe_durability::DurabilityError::Manifest(format!(
-                        "builder configured {n} shards but the durability engine is laid \
-                         out for {}",
-                        e.shards()
-                    )),
-                ))
-            }
-            (Some(e), _) => e.shards(),
-            (None, n) => n.unwrap_or(1),
-        };
-        assert!(shards > 0, "a server needs at least one shard");
-        assert!(
-            !metric_index || measure.is_metric(),
-            "metric_index requires a metric measure, and {} does not declare \
-             the triangle inequality (QueryDistance::is_metric)",
-            measure.name()
-        );
+        let config = self.validate(Durability::create, "durability engine")?;
+        let shards = (0..config.shards)
+            .map(|_| {
+                let mut shard = Shard::new();
+                if config.metric_index {
+                    shard.enable_index();
+                }
+                shard
+            })
+            .collect();
         Ok(Server::assemble(
-            measure,
-            (0..shards)
-                .map(|_| {
-                    let mut shard = Shard::new();
-                    if metric_index {
-                        shard.enable_index();
-                    }
-                    shard
-                })
-                .collect(),
-            cache_capacity,
-            engine,
+            config.measure,
+            shards,
+            config.cache_capacity,
+            config.engine,
         ))
     }
 
     /// Rebuilds a whole multi-tenant server from a durable directory: the
     /// newest valid snapshot is loaded (its matrices bit-identical to the
     /// snapshotted ones), WAL records past each shard's snapshot epoch
-    /// are re-applied through the normal ingest path (deterministic
-    /// distance recomputation — bit-identical again), and the engine
-    /// stays attached so post-recovery ingests keep logging. Plan and
-    /// response caches start empty (they rebuild lazily); metric indexes
-    /// are rebuilt eagerly when [`ServerBuilder::metric_index`] is set.
+    /// are re-applied through [`Shard::apply`] with no log step
+    /// (deterministic distance recomputation — bit-identical again), and
+    /// the engine stays attached so post-recovery ingests keep logging.
+    /// Plan and response caches start empty (they rebuild lazily); metric
+    /// indexes are rebuilt eagerly when [`ServerBuilder::metric_index`] is
+    /// set.
     ///
     /// The shard count is adopted from the directory's manifest; calling
     /// [`ServerBuilder::shards`] with a different count is a typed error.
     /// Damaged state — torn snapshot, corrupt WAL frame, epoch gap —
     /// surfaces as [`ServerError::Durability`], never as a garbage shard.
     pub fn recover(self) -> Result<Server<M>, ServerError> {
-        let ServerBuilder {
-            measure,
-            shards,
-            cache_capacity,
-            metric_index,
-            durability,
-            durability_engine,
-        } = self;
-        let engine = match (durability_engine, durability) {
-            (Some(engine), _) => engine,
-            (None, Some(path)) => Arc::new(Durability::open(path)?),
-            (None, None) => {
-                return Err(ServerError::BadRequest(
-                    "recover() needs ServerBuilder::durability(path) (or a pre-opened \
-                     engine) to know where the durable state lives"
-                        .into(),
-                ))
-            }
+        let config = self.validate(|path, _| Durability::open(path), "durable directory")?;
+        let Some(engine) = config.engine else {
+            return Err(ServerError::BadRequest(
+                "recover() needs ServerBuilder::durability(path) (or a pre-opened \
+                 engine) to know where the durable state lives"
+                    .into(),
+            ));
         };
-        if let Some(n) = shards {
-            if n != engine.shards() {
-                return Err(ServerError::Durability(
-                    dpe_durability::DurabilityError::Manifest(format!(
-                        "builder configured {n} shards but the durable directory is laid \
-                         out for {}",
-                        engine.shards()
-                    )),
-                ));
-            }
-        }
-        assert!(
-            !metric_index || measure.is_metric(),
-            "metric_index requires a metric measure, and {} does not declare \
-             the triangle inequality (QueryDistance::is_metric)",
-            measure.name()
-        );
         let mut restored = Vec::with_capacity(engine.shards());
         for recovery in engine.recover()? {
             let mut shard = Shard::restore(
@@ -350,26 +288,86 @@ impl<M: QueryDistance + Sync> ServerBuilder<M> {
                 recovery.base.matrix,
                 recovery.base.epoch,
             );
-            // Replay the WAL tail through the normal ingest path — the
-            // same deterministic distance calls the live server made, so
-            // the rebuilt cells are bit-identical. Note: *not* re-logged;
-            // these records are already in the WAL.
+            // The same deterministic distance calls the live server made,
+            // so the rebuilt cells are bit-identical. No log step: these
+            // records are already in the WAL.
             for record in &recovery.tail {
-                shard.ingest(&record.queries, &measure)?;
+                shard.apply(&record.queries, &config.measure, None)?;
                 debug_assert_eq!(shard.epoch(), record.epoch, "replay must track the log");
             }
-            if metric_index {
+            if config.metric_index {
                 shard.enable_index();
             }
             restored.push(shard);
         }
         Ok(Server::assemble(
-            measure,
+            config.measure,
             restored,
-            cache_capacity,
+            config.cache_capacity,
             Some(engine),
         ))
     }
+
+    /// The validation [`ServerBuilder::try_build`] and
+    /// [`ServerBuilder::recover`] share: asserts the shard count and the
+    /// metric-index precondition, resolves the durability engine (a
+    /// pre-opened one wins; a path goes through `open`, given the
+    /// configured shard count or 1), and checks an explicit shard count
+    /// against the engine's layout, named `layout` in the error.
+    fn validate(
+        self,
+        open: impl FnOnce(PathBuf, usize) -> Result<Durability, DurabilityError>,
+        layout: &str,
+    ) -> Result<Validated<M>, ServerError> {
+        let ServerBuilder {
+            measure,
+            shards,
+            cache_capacity,
+            metric_index,
+            durability,
+            durability_engine,
+        } = self;
+        assert!(shards != Some(0), "a server needs at least one shard");
+        assert!(
+            !metric_index || measure.is_metric(),
+            "metric_index requires a metric measure, and {} does not declare \
+             the triangle inequality (QueryDistance::is_metric)",
+            measure.name()
+        );
+        let engine = match (durability_engine, durability) {
+            (Some(engine), _) => Some(engine),
+            (None, Some(path)) => Some(Arc::new(open(path, shards.unwrap_or(1))?)),
+            (None, None) => None,
+        };
+        let shards = match (&engine, shards) {
+            (Some(e), Some(n)) if e.shards() != n => {
+                return Err(ServerError::Durability(DurabilityError::Manifest(format!(
+                    "builder configured {n} shards but the {layout} is laid out for {}",
+                    e.shards()
+                ))))
+            }
+            (Some(e), _) => e.shards(),
+            (None, n) => n.unwrap_or(1),
+        };
+        assert!(shards > 0, "a server needs at least one shard");
+        Ok(Validated {
+            measure,
+            shards,
+            cache_capacity,
+            metric_index,
+            engine,
+        })
+    }
+}
+
+/// A [`ServerBuilder`] after [`ServerBuilder::validate`]: the shard count
+/// is resolved and agrees with the engine, when there is one.
+struct Validated<M> {
+    measure: M,
+    shards: usize,
+    cache_capacity: usize,
+    metric_index: bool,
+    engine: Option<Arc<Durability>>,
 }
 
 impl<M: QueryDistance + Sync> Server<M> {
@@ -441,22 +439,20 @@ impl<M: QueryDistance + Sync> Server<M> {
                 self.measure.name()
             )));
         }
-        let slot = self.shards.get(shard).ok_or(ServerError::UnknownShard {
-            shard,
-            shards: self.shards.len(),
-        })?;
-        slot.write().expect("shard lock poisoned").enable_index();
+        self.slot(shard)?
+            .write()
+            .expect("shard lock poisoned")
+            .enable_index();
         Ok(())
     }
 
     /// Drops `shard`'s metric index; its queries fall back to the matrix
     /// paths.
     pub fn drop_index(&self, shard: usize) -> Result<(), ServerError> {
-        let slot = self.shards.get(shard).ok_or(ServerError::UnknownShard {
-            shard,
-            shards: self.shards.len(),
-        })?;
-        slot.write().expect("shard lock poisoned").disable_index();
+        self.slot(shard)?
+            .write()
+            .expect("shard lock poisoned")
+            .disable_index();
         Ok(())
     }
 
@@ -465,18 +461,20 @@ impl<M: QueryDistance + Sync> Server<M> {
         Ok(self.read_shard(shard)?.index().is_some())
     }
 
+    /// `shard`'s lock, or [`ServerError::UnknownShard`].
+    fn slot(&self, shard: usize) -> Result<&RwLock<Shard>, ServerError> {
+        self.shards.get(shard).ok_or(ServerError::UnknownShard {
+            shard,
+            shards: self.shards.len(),
+        })
+    }
+
     // dpe-analyze: allow(guard-escapes-function, reason = "deliberate crate-private helper: fusing the bounds check with acquisition keeps every read path on one code shape; all callers drop the guard within one expression")
     pub(crate) fn read_shard(
         &self,
         shard: usize,
     ) -> Result<std::sync::RwLockReadGuard<'_, Shard>, ServerError> {
-        self.shards
-            .get(shard)
-            .ok_or(ServerError::UnknownShard {
-                shard,
-                shards: self.shards.len(),
-            })
-            .map(|s| s.read().expect("shard lock poisoned"))
+        Ok(self.slot(shard)?.read().expect("shard lock poisoned"))
     }
 
     /// Streaming insert into one tenant shard, reusing the incremental
@@ -485,49 +483,46 @@ impl<M: QueryDistance + Sync> Server<M> {
     /// are unaffected. On success the shard epoch bumps, invalidating every
     /// cached response for that shard.
     ///
-    /// With [`ServerBuilder::durability`] configured, the batch is also
-    /// appended to the shard's WAL *inside the same write-lock hold* as
-    /// the matrix extend and epoch bump, so the log order is exactly the
-    /// epoch order readers observe. A WAL append failure surfaces as
-    /// [`ServerError::Durability`]; the in-memory apply stands (readers
-    /// may already depend on the epoch) and the next successful
-    /// [`Server::checkpoint`] re-anchors the log to the live state.
+    /// The whole ingest is one [`Shard::apply`] under one write-lock hold:
+    /// extend the matrix, append the batch to the shard's WAL (with
+    /// [`ServerBuilder::durability`] configured), then commit. So an
+    /// ingest is visible iff it is durable: a failed WAL append surfaces
+    /// as [`ServerError::Durability`] and leaves the shard, its epoch and
+    /// its log as they were, and the next ingest may proceed. The log
+    /// order is exactly the epoch order readers observe.
     pub fn ingest(&self, shard: usize, new: &[Query]) -> Result<(), ServerError> {
-        let slot = self.shards.get(shard).ok_or(ServerError::UnknownShard {
-            shard,
-            shards: self.shards.len(),
-        })?;
-        let mut guard = slot.write().expect("shard lock poisoned");
-        guard.ingest(new, &self.measure)?;
-        if let Some(d) = &self.durability {
-            d.log_ingest(shard, guard.epoch(), new)?;
-        }
-        Ok(())
+        let slot = self.slot(shard)?;
+        let log = |epoch| match &self.durability {
+            Some(d) => d.log_ingest(shard, epoch, new),
+            None => Ok(()),
+        };
+        slot.write()
+            .expect("shard lock poisoned")
+            .apply(new, &self.measure, Some(&log))
     }
 
     /// Pipelined streaming insert: pulls chunks from `chunks` on a
-    /// dedicated producer thread and extends the shard's packed matrix
-    /// chunk by chunk on the calling thread, so the producer's work —
-    /// typically the data owner's encryption, e.g.
+    /// dedicated producer thread and ingests them chunk by chunk on the
+    /// calling thread, so the producer's work — typically the data
+    /// owner's encryption, e.g.
     /// `dpe_paillier::batch::BatchEncryptor::encrypt_stream` feeding query
     /// assembly — overlaps with the server-side distance computation.
     ///
-    /// Each non-empty chunk is one epoch-bumping [`Server::ingest`] under
-    /// its own write-lock acquisition, so readers of this shard interleave
-    /// between chunks and other shards are never blocked. A bounded
-    /// channel (capacity 2) applies backpressure to a producer that
-    /// outruns ingestion. Returns the total item count applied; on error
-    /// the already-applied chunks remain (their epochs already bumped) and
-    /// the producer is cut off.
+    /// Each non-empty chunk is one [`Server::ingest`] (empty chunks are
+    /// skipped, so they bump no epoch), each under its own write-lock
+    /// acquisition, so readers of this shard interleave between chunks
+    /// and other shards are never blocked. A bounded channel (capacity 2)
+    /// applies backpressure to a producer that outruns ingestion. Returns
+    /// the total item count applied; on error the chunks already ingested
+    /// remain (each visible and durable with its own epoch), the failing
+    /// chunk is neither, and the producer is cut off.
     pub fn ingest_stream<I>(&self, shard: usize, chunks: I) -> Result<usize, ServerError>
     where
         I: IntoIterator<Item = Vec<Query>>,
         I::IntoIter: Send,
     {
-        let slot = self.shards.get(shard).ok_or(ServerError::UnknownShard {
-            shard,
-            shards: self.shards.len(),
-        })?;
+        // An unknown shard is refused before the producer consumes a chunk.
+        self.slot(shard)?;
         let iter = chunks.into_iter();
         let (tx, rx) = std::sync::mpsc::sync_channel::<Vec<Query>>(2);
         let mut total = 0usize;
@@ -543,30 +538,14 @@ impl<M: QueryDistance + Sync> Server<M> {
                 }
             });
             while let Ok(chunk) = rx.recv() {
-                // Empty chunks are skipped without an epoch bump — the
-                // same semantics as `Shard::ingest_stream`, which this
-                // loop unrolls so each applied chunk can be WAL-logged
-                // inside its own write-lock hold.
                 if chunk.is_empty() {
                     continue;
                 }
-                let applied = {
-                    let mut guard = slot.write().expect("shard lock poisoned");
-                    // dpe-analyze: allow(lock-reentrant, reason = "bare-name collision in the analyzer's call graph: this is Shard::ingest on the already-held guard (lock-free), conflated with Server::ingest")
-                    guard.ingest(&chunk, &self.measure).and_then(|()| {
-                        if let Some(d) = &self.durability {
-                            d.log_ingest(shard, guard.epoch(), &chunk)?;
-                        }
-                        Ok(())
-                    })
-                };
-                match applied {
-                    Ok(()) => total += chunk.len(),
-                    Err(e) => {
-                        result = Err(e);
-                        break;
-                    }
+                if let Err(e) = self.ingest(shard, &chunk) {
+                    result = Err(e);
+                    break;
                 }
+                total += chunk.len();
             }
             drop(rx);
             // The producer runs caller-supplied iterator code: a panic
@@ -1248,6 +1227,71 @@ mod tests {
             })
             .unwrap()
             .bits_eq(&oracle));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn unlexable_query_is_a_typed_error_and_the_shard_keeps_serving() {
+        let dir = durable_dir("unlexable");
+        let s = Server::builder(TokenDistance).durability(&dir).build();
+        let oracle = Server::builder(TokenDistance).build();
+        let good = queries(6, 1);
+        s.ingest(0, &good).unwrap();
+        oracle.ingest(0, &good).unwrap();
+
+        // The parser never builds this AST; its rendering does not lex.
+        let mut bad = queries(3, 50);
+        bad[1].limit = Some(u64::MAX);
+        let err = s.ingest(0, &bad).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ServerError::Distance(dpe_distance::DistanceError::Unlexable(_))
+            ),
+            "{err:?}"
+        );
+        assert_eq!(s.shard_epoch(0).unwrap(), 1, "the epoch did not move");
+
+        let requests = [
+            Request::Knn {
+                shard: 0,
+                item: 2,
+                k: 3,
+            },
+            Request::Range {
+                shard: 0,
+                item: 0,
+                radius: 0.6,
+            },
+            Request::Lof {
+                shard: 0,
+                min_pts: 2,
+            },
+        ];
+        let agree = |s: &Server<TokenDistance>, ctx: &str| {
+            for req in &requests {
+                assert!(
+                    s.serve_one_uncached(req)
+                        .unwrap()
+                        .bits_eq(&oracle.serve_one_uncached(req).unwrap()),
+                    "{ctx}: {req:?}"
+                );
+            }
+        };
+        agree(&s, "after the rejected batch");
+        // The shard lock is not poisoned: ingests go on, and nothing of
+        // the rejected batch reached the log.
+        let more = queries(4, 9);
+        s.ingest(0, &more).unwrap();
+        oracle.ingest(0, &more).unwrap();
+        agree(&s, "after a later ingest");
+        drop(s);
+        let r = Server::builder(TokenDistance)
+            .durability(&dir)
+            .recover()
+            .unwrap();
+        assert_eq!(r.shard_epoch(0).unwrap(), 2);
+        agree(&r, "recovered");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

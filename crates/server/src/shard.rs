@@ -7,11 +7,16 @@
 //! [`dpe_distance::DistanceMatrix::extend`] makes a streaming insert of `m`
 //! queries cost exactly `m·n + m(m−1)/2` distance calls, and the packed
 //! upper-triangle layout keeps the per-shard memory at `n(n−1)/2` cells.
+//!
+//! Every change to a shard after construction or restore goes through one
+//! step, [`Shard::apply`]: extend the matrix, run the optional log step,
+//! then commit. Live ingest, streamed chunks and WAL replay all call it.
 
 use crate::exec::{self, ExecutionMetrics, PhysicalPlan};
 use crate::request::{Request, Response, ServerError};
 use dpe_distance::index::{MatrixSource, QueryCounters, VpTree};
 use dpe_distance::{DistanceMatrix, QueryDistance};
+use dpe_durability::DurabilityError;
 use dpe_mining::apriori::Transaction;
 use dpe_mining::{agglomerative, Dendrogram, Linkage};
 use dpe_sql::{feature_set, Query};
@@ -19,14 +24,14 @@ use dpe_sql::{feature_set, Query};
 /// A tenant's slice of the store: queries in insertion order plus the
 /// packed matrix over them, versioned by an epoch that bumps on every
 /// successful insert (cache keys embed it, so stale responses can never be
-/// served after an [`Shard::ingest`]).
+/// served after a [`Shard::apply`]).
 #[derive(Debug, Clone, Default)]
 pub struct Shard {
     queries: Vec<Query>,
     matrix: DistanceMatrix,
     epoch: u64,
     /// The optional metric index (see [`ShardIndex`]); kept in lockstep
-    /// with the matrix inside the same `&mut self` ingest, so it can never
+    /// with the matrix inside the same `&mut self` apply, so it can never
     /// describe a different epoch than the matrix it prunes for.
     index: Option<ShardIndex>,
 }
@@ -146,49 +151,39 @@ impl Shard {
         }
     }
 
-    /// Streaming insert: appends `new` queries, computing only the new
-    /// distance pairs. On error the shard (and its epoch) is unchanged.
-    pub fn ingest<M: QueryDistance>(
+    /// The one way a shard changes: appends `new` queries in three steps.
+    ///
+    /// 1. **Extend.** The packed matrix grows in place by exactly
+    ///    `m·n + m(m−1)/2` distance calls; a distance error rolls it back.
+    /// 2. **Log.** `log`, when given, is called with the epoch the shard
+    ///    will reach (the WAL append). If it fails, the matrix is truncated
+    ///    back and the error returned.
+    /// 3. **Commit.** Only now are the queries pushed, the epoch bumped and
+    ///    the batch absorbed into the metric index.
+    ///
+    /// So on any error the shard (epoch included) is unchanged, and with a
+    /// log step an apply is visible iff it is durable. WAL replay passes
+    /// no log step: its records are already in the log.
+    pub fn apply<M: QueryDistance>(
         &mut self,
         new: &[Query],
         measure: &M,
+        log: Option<&dyn Fn(u64) -> Result<(), DurabilityError>>,
     ) -> Result<(), ServerError> {
+        let n = self.queries.len();
         self.matrix.extend(&self.queries, new, measure)?;
+        if let Some(log) = log {
+            if let Err(e) = log(self.epoch + 1) {
+                self.matrix.truncate(n);
+                return Err(e.into());
+            }
+        }
         self.queries.extend_from_slice(new);
         self.epoch += 1;
-        // Same &mut self as the epoch bump: the index is updated (or the
-        // whole ingest fails) before any reader can observe the new epoch.
         if let Some(index) = &mut self.index {
             index.absorb(&self.matrix);
         }
         Ok(())
-    }
-
-    /// Batched streaming insert: ingests `chunks` in order, skipping empty
-    /// chunks (so they cannot bump the epoch), and returns the total item
-    /// count applied. Each non-empty chunk is one [`Shard::ingest`] —
-    /// exactly `m·n + m(m−1)/2` new distance calls and one epoch bump. On
-    /// error the already-applied prefix of chunks (and its epoch bumps)
-    /// remains; the failing chunk is rolled back.
-    ///
-    /// This is the owner-upload entry point the batched Paillier engine
-    /// feeds: `dpe_paillier::batch::BatchEncryptor::encrypt_stream` hands
-    /// ciphertext chunks to a producer whose output lands here (pipelined
-    /// across threads by `Server::ingest_stream`).
-    pub fn ingest_stream<M, I>(&mut self, chunks: I, measure: &M) -> Result<usize, ServerError>
-    where
-        M: QueryDistance,
-        I: IntoIterator<Item = Vec<Query>>,
-    {
-        let mut total = 0usize;
-        for chunk in chunks {
-            if chunk.is_empty() {
-                continue;
-            }
-            self.ingest(&chunk, measure)?;
-            total += chunk.len();
-        }
-        Ok(total)
     }
 
     /// Items stored.
@@ -201,7 +196,7 @@ impl Shard {
         self.queries.is_empty()
     }
 
-    /// Version counter, bumped by every successful [`Shard::ingest`].
+    /// Version counter, bumped by every successful [`Shard::apply`].
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -218,7 +213,7 @@ impl Shard {
     }
 
     /// Builds (or rebuilds) the shard's metric index over the current
-    /// matrix; every subsequent [`Shard::ingest`] keeps it current
+    /// matrix; every subsequent [`Shard::apply`] keeps it current
     /// incrementally. The caller is responsible for only indexing metric
     /// measures ([`QueryDistance::is_metric`]) — [`crate::Server`] checks.
     pub fn enable_index(&mut self) {
@@ -323,8 +318,8 @@ mod tests {
         let full = DistanceMatrix::compute(&all, &TokenDistance).unwrap();
         let mut shard = Shard::new();
         assert_eq!(shard.epoch(), 0);
-        shard.ingest(&all[..7], &TokenDistance).unwrap();
-        shard.ingest(&all[7..], &TokenDistance).unwrap();
+        shard.apply(&all[..7], &TokenDistance, None).unwrap();
+        shard.apply(&all[7..], &TokenDistance, None).unwrap();
         assert_eq!(shard.epoch(), 2);
         assert_eq!(shard.len(), 12);
         assert!(shard.matrix().identical(&full));
@@ -334,7 +329,7 @@ mod tests {
     fn index_tracks_ingest_and_answers_match_mining() {
         let all = queries(40);
         let mut shard = Shard::new();
-        shard.ingest(&all[..10], &TokenDistance).unwrap();
+        shard.apply(&all[..10], &TokenDistance, None).unwrap();
         shard.enable_index();
         let built = shard.index().expect("index just built").built_len();
         assert_eq!(built, 10);
@@ -342,12 +337,12 @@ mod tests {
         // A small ingest lands in the overflow buffer; a large one forces
         // a rebuild. Either way every answer stays bit-identical to the
         // matrix path.
-        shard.ingest(&all[10..13], &TokenDistance).unwrap();
+        shard.apply(&all[10..13], &TokenDistance, None).unwrap();
         let index = shard.index().expect("index survives ingest");
         assert_eq!(index.len(), 13);
         assert_eq!(index.overflow_len(), 3, "small ingest buffers");
 
-        shard.ingest(&all[13..], &TokenDistance).unwrap();
+        shard.apply(&all[13..], &TokenDistance, None).unwrap();
         let index = shard.index().expect("index survives ingest");
         assert_eq!(index.len(), 40);
         assert_eq!(index.overflow_len(), 0, "large ingest rebuilds");
@@ -367,20 +362,32 @@ mod tests {
         assert!(shard.index().is_none());
     }
 
+    /// The chunk loop `Server::ingest_stream` runs: one apply per
+    /// non-empty chunk.
+    fn apply_chunks<M: QueryDistance>(
+        shard: &mut Shard,
+        chunks: &[Vec<Query>],
+        measure: &M,
+    ) -> Result<(), ServerError> {
+        for chunk in chunks.iter().filter(|c| !c.is_empty()) {
+            shard.apply(chunk, measure, None)?;
+        }
+        Ok(())
+    }
+
     #[test]
     fn ingest_stream_matches_one_shot_ingest() {
         let all = queries(15);
         let mut oracle = Shard::new();
-        oracle.ingest(&all, &TokenDistance).unwrap();
+        oracle.apply(&all, &TokenDistance, None).unwrap();
         let mut shard = Shard::new();
         let chunks: Vec<Vec<Query>> = vec![
             all[..4].to_vec(),
-            Vec::new(), // empty chunks are skipped, not epoch-bumped
+            Vec::new(),
             all[4..9].to_vec(),
             all[9..].to_vec(),
         ];
-        let total = shard.ingest_stream(chunks, &TokenDistance).unwrap();
-        assert_eq!(total, 15);
+        apply_chunks(&mut shard, &chunks, &TokenDistance).unwrap();
         assert_eq!(shard.len(), 15);
         assert_eq!(shard.epoch(), 3, "one bump per non-empty chunk");
         assert!(shard.matrix().identical(oracle.matrix()));
@@ -408,21 +415,60 @@ mod tests {
         // Chunk 1 (5 items) costs 10 calls, chunk 2 (4 items on 5) costs
         // 26: a budget of 15 applies chunk 1 and fails inside chunk 2.
         let chunks = vec![all[..5].to_vec(), all[5..].to_vec()];
-        let err = shard
-            .ingest_stream(chunks, &FailAfter(std::cell::Cell::new(15)))
-            .unwrap_err();
+        let err =
+            apply_chunks(&mut shard, &chunks, &FailAfter(std::cell::Cell::new(15))).unwrap_err();
         assert!(matches!(err, ServerError::Distance(_)));
         assert_eq!(shard.len(), 5, "failing chunk fully rolled back");
         assert_eq!(shard.epoch(), 1, "only the applied chunk bumped");
         let mut oracle = Shard::new();
-        oracle.ingest(&all[..5], &TokenDistance).unwrap();
+        oracle.apply(&all[..5], &TokenDistance, None).unwrap();
         assert!(shard.matrix().identical(oracle.matrix()));
+    }
+
+    #[test]
+    fn failed_log_step_rolls_back_and_a_good_one_sees_the_next_epoch() {
+        let all = queries(12);
+        let mut shard = Shard::new();
+        shard.apply(&all[..6], &TokenDistance, None).unwrap();
+        shard.enable_index();
+        let before = shard.clone();
+
+        let refuse = |_| Err(DurabilityError::WalFenced { shard: 0 });
+        let err = shard
+            .apply(&all[6..], &TokenDistance, Some(&refuse))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ServerError::Durability(DurabilityError::WalFenced { shard: 0 })
+        );
+        assert_eq!(shard.queries(), before.queries());
+        assert_eq!(shard.epoch(), before.epoch());
+        assert!(shard.matrix().identical(before.matrix()));
+        assert_eq!(shard.index().map(ShardIndex::len), Some(6));
+
+        let logged = std::cell::Cell::new(None);
+        let record = |epoch| {
+            logged.set(Some(epoch));
+            Ok(())
+        };
+        shard
+            .apply(&all[6..], &TokenDistance, Some(&record))
+            .unwrap();
+        assert_eq!(
+            logged.get(),
+            Some(2),
+            "the log step sees the post-apply epoch"
+        );
+        assert_eq!(shard.epoch(), 2);
+        let oracle = DistanceMatrix::compute(&all, &TokenDistance).unwrap();
+        assert!(shard.matrix().identical(&oracle));
+        assert_eq!(shard.index().map(ShardIndex::len), Some(12));
     }
 
     #[test]
     fn answers_agree_with_direct_mining_calls() {
         let mut shard = Shard::new();
-        shard.ingest(&queries(10), &TokenDistance).unwrap();
+        shard.apply(&queries(10), &TokenDistance, None).unwrap();
         let m = shard.matrix();
 
         let knn = shard
@@ -467,7 +513,7 @@ mod tests {
     #[test]
     fn clustering_answers_agree_with_direct_mining_calls() {
         let mut shard = Shard::new();
-        shard.ingest(&queries(10), &TokenDistance).unwrap();
+        shard.apply(&queries(10), &TokenDistance, None).unwrap();
         let m = shard.matrix();
 
         let db = shard
@@ -529,7 +575,7 @@ mod tests {
     #[test]
     fn validation_turns_panics_into_errors() {
         let mut shard = Shard::new();
-        shard.ingest(&queries(4), &TokenDistance).unwrap();
+        shard.apply(&queries(4), &TokenDistance, None).unwrap();
 
         let oob = shard.answer(&Request::Knn {
             shard: 2,
@@ -620,9 +666,9 @@ mod tests {
             }
         }
         let mut shard = Shard::new();
-        shard.ingest(&queries(5), &TokenDistance).unwrap();
+        shard.apply(&queries(5), &TokenDistance, None).unwrap();
         let before = shard.clone();
-        let err = shard.ingest(&queries(3), &Poison).unwrap_err();
+        let err = shard.apply(&queries(3), &Poison, None).unwrap_err();
         assert!(matches!(err, ServerError::Distance(_)));
         assert_eq!(shard.len(), before.len());
         assert_eq!(shard.epoch(), before.epoch());

@@ -14,7 +14,13 @@
 //!    write succeeded); recovery must replay exactly the records whose
 //!    last byte reached disk, then serve like an oracle that only ever
 //!    saw those;
-//! 3. damaged state — torn WAL magic, flipped snapshot byte, flipped
+//! 3. the error sweep: an [`ErrorFs`] sink makes the WAL append of
+//!    **every** record return an error, before writing, after half a
+//!    frame, or after a full frame whose sync fails. The failed ingest
+//!    must be neither visible nor durable: the live server, and the
+//!    server recovered from its directory, serve like an oracle that
+//!    never saw that batch, and later ingests succeed;
+//! 4. damaged state — torn WAL magic, flipped snapshot byte, flipped
 //!    frame byte — surfaces as a typed [`ServerError::Durability`],
 //!    never as a garbage shard.
 //!
@@ -23,7 +29,7 @@
 //! uploads the exact bytes that broke recovery as its fuzz corpus.
 
 use dpe_distance::TokenDistance;
-use dpe_durability::testkit::FailpointFs;
+use dpe_durability::testkit::{ErrorFs, FailpointFs, Fault};
 use dpe_durability::{Durability, DurabilityError};
 use dpe_mining::Linkage;
 use dpe_server::{
@@ -244,19 +250,33 @@ fn recovered_server_is_bit_identical_across_every_request_variant() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The history both sweeps cut at every record.
+fn sweep_batches() -> Vec<Vec<Query>> {
+    vec![
+        batch(1, 3),
+        batch(2, 2),
+        Vec::new(), // an empty batch is a real record: it bumps the epoch
+        batch(3, 4),
+        batch(4, 1),
+    ]
+}
+
+/// `DPE_RECOVERY_CORPUS`, created, when set.
+fn corpus_dir() -> Option<PathBuf> {
+    let corpus = std::env::var_os("DPE_RECOVERY_CORPUS").map(PathBuf::from);
+    if let Some(c) = &corpus {
+        std::fs::create_dir_all(c).unwrap();
+    }
+    corpus
+}
+
 /// The kill sweep: cut the WAL at / one byte before / one byte past every
 /// record boundary. The server acknowledged every write; recovery must
 /// serve exactly the prefix whose bytes survived.
 #[test]
 fn kill_after_every_wal_record_boundary_recovers_the_exact_prefix() {
     // Phase A: unbudgeted run, learning each record's end offset.
-    let batches: Vec<Vec<Query>> = vec![
-        batch(1, 3),
-        batch(2, 2),
-        Vec::new(), // an empty batch is a real record: it bumps the epoch
-        batch(3, 4),
-        batch(4, 1),
-    ];
+    let batches = sweep_batches();
     let dir_a = tmp("sweep-full");
     let full = Server::builder(TokenDistance).durability(&dir_a).build();
     let mut boundaries = Vec::new();
@@ -276,11 +296,7 @@ fn kill_after_every_wal_record_boundary_recovers_the_exact_prefix() {
     budgets.sort_unstable();
     budgets.dedup();
 
-    let corpus = std::env::var_os("DPE_RECOVERY_CORPUS").map(PathBuf::from);
-    if let Some(c) = &corpus {
-        std::fs::create_dir_all(c).unwrap();
-    }
-
+    let corpus = corpus_dir();
     for budget in budgets {
         let dir = tmp(&format!("sweep-{budget}"));
         let fp = FailpointFs::new(budget);
@@ -344,6 +360,181 @@ fn kill_after_every_wal_record_boundary_recovers_the_exact_prefix() {
         assert_eq!(twice.shard_epoch(0).unwrap(), survivors as u64 + 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// The error sweep: the WAL append of record `k` returns an error, for
+/// every `k` and every [`Fault`]. The writer truncates the log back to its
+/// last good length and the shard rolls back, so ingest `k` is rejected
+/// and is neither visible nor durable.
+#[test]
+fn failed_wal_append_at_every_record_is_neither_visible_nor_durable() {
+    let batches = sweep_batches();
+    let corpus = corpus_dir();
+    for k in 1..=batches.len() {
+        for fault in [Fault::BeforeWrite, Fault::ShortWrite, Fault::SyncError] {
+            let ctx = format!("record {k}, {fault:?}");
+            let dir = tmp(&format!("errsweep-{k}-{fault:?}"));
+            // Append 0 is the WAL magic, so append k is record k.
+            let efs = ErrorFs::new(k as u64, fault);
+            let engine = Arc::new(Durability::create_with(&dir, 1, &efs).unwrap());
+            let live = Server::builder(TokenDistance)
+                .durability_engine(engine)
+                .build();
+            let oracle = Server::builder(TokenDistance).build();
+            for (i, b) in batches.iter().enumerate() {
+                let got = live.ingest(0, b);
+                if i + 1 == k {
+                    assert!(
+                        matches!(
+                            got,
+                            Err(ServerError::Durability(DurabilityError::Io { .. }))
+                        ),
+                        "{ctx}: {got:?}"
+                    );
+                    assert_eq!(
+                        live.shard_epoch(0).unwrap(),
+                        oracle.shard_epoch(0).unwrap(),
+                        "{ctx}: the rejected ingest moved the epoch"
+                    );
+                } else {
+                    got.unwrap();
+                    oracle.ingest(0, b).unwrap();
+                }
+            }
+            live.register_sql_table(pairs_binding(0)).unwrap();
+            oracle.register_sql_table(pairs_binding(0)).unwrap();
+            assert_servers_agree(&live, &oracle, 1, &ctx);
+
+            // The fault was transient and left the log a valid prefix, so
+            // later ingests succeed and chain on it.
+            let extra = batch(55, 3);
+            live.ingest(0, &extra).unwrap();
+            oracle.ingest(0, &extra).unwrap();
+            let epoch = live.shard_epoch(0).unwrap();
+            assert_eq!(epoch, oracle.shard_epoch(0).unwrap(), "{ctx}");
+            assert_servers_agree(&live, &oracle, 1, &format!("{ctx} post-ingest"));
+            drop(live);
+
+            if let Some(c) = &corpus {
+                std::fs::copy(
+                    dir.join("wal").join("shard-0.wal"),
+                    c.join(format!("error-{k}-{fault:?}.wal")),
+                )
+                .unwrap();
+            }
+            let recovered = Server::builder(TokenDistance)
+                .durability(&dir)
+                .recover()
+                .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+            assert_eq!(recovered.shard_epoch(0).unwrap(), epoch, "{ctx}");
+            recovered.register_sql_table(pairs_binding(0)).unwrap();
+            assert_servers_agree(&recovered, &oracle, 1, &format!("{ctx} recovered"));
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+}
+
+/// When the rollback truncate fails too, half a frame stays in the log.
+/// The writer then refuses every append (an append after the half frame
+/// would bury it) until a checkpoint resets the log, and recovery returns
+/// the acknowledged prefix. A full frame whose sync *and* truncate both
+/// fail is a double fault and out of scope: the log would keep a complete
+/// record of an ingest the server rejected.
+#[test]
+fn failed_rollback_refuses_appends_until_a_checkpoint() {
+    let batches = sweep_batches();
+    let dir = tmp("fenced");
+    let efs = ErrorFs::with_failing_truncate(2, Fault::ShortWrite);
+    let engine = Arc::new(Durability::create_with(&dir, 1, &efs).unwrap());
+    let live = Server::builder(TokenDistance)
+        .durability_engine(engine)
+        .build();
+    let oracle = Server::builder(TokenDistance).build();
+    live.register_sql_table(pairs_binding(0)).unwrap();
+    oracle.register_sql_table(pairs_binding(0)).unwrap();
+    live.ingest(0, &batches[0]).unwrap();
+    oracle.ingest(0, &batches[0]).unwrap();
+    assert!(matches!(
+        live.ingest(0, &batches[1]),
+        Err(ServerError::Durability(DurabilityError::Io { .. }))
+    ));
+    for b in &batches[1..] {
+        assert_eq!(
+            live.ingest(0, b),
+            Err(ServerError::Durability(DurabilityError::WalFenced {
+                shard: 0
+            }))
+        );
+    }
+    assert_eq!(live.shard_epoch(0).unwrap(), 1);
+    assert_servers_agree(&live, &oracle, 1, "fenced");
+
+    // Recovering a copy of the directory yields the acknowledged prefix:
+    // the half frame is a torn tail.
+    let copy = tmp("fenced-copy");
+    std::fs::create_dir_all(copy.join("wal")).unwrap();
+    std::fs::copy(dir.join("MANIFEST"), copy.join("MANIFEST")).unwrap();
+    std::fs::copy(
+        dir.join("wal").join("shard-0.wal"),
+        copy.join("wal").join("shard-0.wal"),
+    )
+    .unwrap();
+    let recovered = Server::builder(TokenDistance)
+        .durability(&copy)
+        .recover()
+        .unwrap();
+    assert_eq!(recovered.shard_epoch(0).unwrap(), 1);
+    recovered.register_sql_table(pairs_binding(0)).unwrap();
+    assert_servers_agree(&recovered, &oracle, 1, "fenced, recovered");
+    drop(recovered);
+    std::fs::remove_dir_all(&copy).unwrap();
+
+    // A checkpoint resets the log and lifts the refusal.
+    live.checkpoint().unwrap();
+    for b in &batches[1..] {
+        live.ingest(0, b).unwrap();
+        oracle.ingest(0, b).unwrap();
+    }
+    let epoch = live.shard_epoch(0).unwrap();
+    drop(live);
+    let recovered = Server::builder(TokenDistance)
+        .durability(&dir)
+        .recover()
+        .unwrap();
+    assert_eq!(recovered.shard_epoch(0).unwrap(), epoch);
+    recovered.register_sql_table(pairs_binding(0)).unwrap();
+    assert_servers_agree(&recovered, &oracle, 1, "after checkpoint, recovered");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A streamed upload whose second chunk fails its WAL append keeps the
+/// first chunk, visible and durable, and cuts the producer off.
+#[test]
+fn failed_append_mid_stream_keeps_the_durable_prefix() {
+    let dir = tmp("stream-error");
+    let efs = ErrorFs::new(2, Fault::SyncError);
+    let engine = Arc::new(Durability::create_with(&dir, 1, &efs).unwrap());
+    let live = Server::builder(TokenDistance)
+        .durability_engine(engine)
+        .build();
+    let chunks = vec![batch(1, 3), Vec::new(), batch(2, 2), batch(3, 4)];
+    let err = live.ingest_stream(0, chunks.clone()).unwrap_err();
+    assert!(matches!(err, ServerError::Durability(_)), "{err:?}");
+    assert_eq!(live.shard_epoch(0).unwrap(), 1);
+    assert_eq!(live.shard_len(0).unwrap(), 3);
+    let oracle = Server::builder(TokenDistance).build();
+    oracle.ingest(0, &chunks[0]).unwrap();
+    live.register_sql_table(pairs_binding(0)).unwrap();
+    oracle.register_sql_table(pairs_binding(0)).unwrap();
+    assert_servers_agree(&live, &oracle, 1, "stream error");
+    drop(live);
+    let recovered = Server::builder(TokenDistance)
+        .durability(&dir)
+        .recover()
+        .unwrap();
+    recovered.register_sql_table(pairs_binding(0)).unwrap();
+    assert_servers_agree(&recovered, &oracle, 1, "stream error, recovered");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A budget that tears the 8-byte WAL magic itself is corruption, not a

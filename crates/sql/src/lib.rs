@@ -246,14 +246,14 @@ mod proptests {
             // token distance would depend on formatting.
             let q = parse_query(&sql).unwrap();
             let reparsed = parse_query(&q.to_string()).unwrap();
-            prop_assert_eq!(token_set(&q), token_set(&reparsed));
+            prop_assert_eq!(token_set(&q).unwrap(), token_set(&reparsed).unwrap());
         }
 
         #[test]
         fn token_walk_equals_relex_on_arb_query(sql in arb_query()) {
             let q = parse_query(&sql).unwrap();
             prop_assert!(query_tokens(&q).is_some(), "plain query fell back: {}", q);
-            prop_assert_eq!(token_set(&q), token_set_of_text(&q.to_string()).unwrap());
+            prop_assert_eq!(token_set(&q).unwrap(), token_set_of_text(&q.to_string()).unwrap());
         }
 
         #[test]
@@ -270,7 +270,7 @@ mod proptests {
         #[test]
         fn token_walk_equals_relex_on_arb_ast(q in arb_ast()) {
             let oracle = token_set_of_text(&q.to_string()).unwrap();
-            prop_assert_eq!(token_set(&q), oracle.clone());
+            prop_assert_eq!(token_set(&q).unwrap(), oracle.clone());
             if let Some(tokens) = query_tokens(&q) {
                 // Distinct walk tokens have distinct spellings, so set sizes
                 // (and hence Jaccard counts) agree too.

@@ -10,7 +10,8 @@
 //! [`QueryToken`]s, then sorts and dedups them. The two are pinned equal by
 //! the `token_walk_equals_relex_*` proptests. A query whose rendering the
 //! walk cannot reproduce token for token yields `None`, and [`token_set`]
-//! falls back to the text path.
+//! falls back to the text path; a rendering that does not lex either is an
+//! error, not a panic.
 //!
 //! Keywords and operators participate (they are part of the query string);
 //! identifiers and constants are the parts encryption later replaces 1:1,
@@ -18,6 +19,7 @@
 //! these sets.
 
 use crate::ast::{AggArg, ColumnRef, Expr, Literal, Query, SelectItem};
+use crate::error::SqlError;
 use crate::token::{lex, Token, KEYWORDS};
 use std::collections::BTreeSet;
 
@@ -85,18 +87,20 @@ pub fn query_tokens(query: &Query) -> Option<Vec<QueryToken<'_>>> {
 }
 
 /// Computes `tokens(Q)`: by the AST walk, or from the canonical rendering
-/// when the walk cannot reproduce it.
-pub fn token_set(query: &Query) -> TokenSet {
+/// when the walk cannot reproduce it. The parser never builds an AST whose
+/// rendering does not lex, but a hand-built one can (`LIMIT` above
+/// `i64::MAX`, an identifier such as `a-b`); that is the lexer's error.
+pub fn token_set(query: &Query) -> Result<TokenSet, SqlError> {
     match query_tokens(query) {
-        Some(tokens) => tokens.iter().map(QueryToken::spelling).collect(),
-        None => token_set_of_text(&query.to_string()).expect("canonical rendering always lexes"),
+        Some(tokens) => Ok(tokens.iter().map(QueryToken::spelling).collect()),
+        None => token_set_of_text(&query.to_string()),
     }
 }
 
 /// Computes the token set of raw SQL text (used to tokenize *encrypted*
 /// queries, whose identifiers are hex strings). Applied to `q.to_string()`
 /// it is the definition of `tokens(q)`.
-pub fn token_set_of_text(sql: &str) -> Result<TokenSet, crate::error::SqlError> {
+pub fn token_set_of_text(sql: &str) -> Result<TokenSet, SqlError> {
     let spanned = lex(sql)?;
     Ok(spanned
         .into_iter()
@@ -295,7 +299,7 @@ mod tests {
     use crate::parser::parse_query;
 
     fn tokens(sql: &str) -> TokenSet {
-        token_set(&parse_query(sql).unwrap())
+        token_set(&parse_query(sql).unwrap()).unwrap()
     }
 
     #[test]
@@ -365,18 +369,8 @@ mod tests {
     }
 
     /// The text path as it stood before the walk: render, lex, collect.
-    fn relexed(q: &Query) -> TokenSet {
-        token_set_of_text(&q.to_string()).expect("canonical rendering always lexes")
-    }
-
-    fn panic_message(f: impl FnOnce() -> TokenSet + std::panic::UnwindSafe) -> Option<String> {
-        let payload = std::panic::catch_unwind(f).err()?;
-        Some(
-            payload
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default(),
-        )
+    fn relexed(q: &Query) -> Result<TokenSet, SqlError> {
+        token_set_of_text(&q.to_string())
     }
 
     #[test]
@@ -517,7 +511,7 @@ mod tests {
     }
 
     #[test]
-    fn unlexable_renderings_panic_as_before() {
+    fn unlexable_renderings_are_typed_errors() {
         for q in [
             ast(|q| q.limit = Some(u64::MAX)),
             ast(|q| q.limit = Some(i64::MAX as u64 + 1)),
@@ -526,9 +520,9 @@ mod tests {
             with_where(cmp("a#", Literal::Int(1))),
         ] {
             assert!(query_tokens(&q).is_none(), "walked {q}");
-            let old = panic_message(|| relexed(&q));
-            assert!(old.is_some(), "text path lexed {q}");
-            assert_eq!(panic_message(|| token_set(&q)), old, "{q}");
+            let err = token_set(&q).expect_err("an unlexable rendering has no token set");
+            assert_eq!(err.phase, crate::error::Phase::Lex, "{q}");
+            assert_eq!(Err(err), relexed(&q), "{q}");
         }
     }
 

@@ -13,7 +13,7 @@
 use dpe::core::scheme::{QueryEncryptor, StructuralDpe};
 use dpe::core::verify::mining_agreement;
 use dpe::crypto::MasterKey;
-use dpe::distance::{DistanceMatrix, MatrixBuilder, StructureDistance};
+use dpe::distance::{DistanceMatrix, StructureDistance};
 use dpe::mining::{dbscan, kmedoids, DbscanConfig, DbscanLabel, OutlierConfig};
 use dpe::workload::{LogConfig, LogGenerator};
 
@@ -41,18 +41,19 @@ fn main() {
     // --- service provider side (sees only `encrypted`) -------------------
     // The log arrives in batches; the provider grows the packed distance
     // matrix incrementally, paying only for the new pairs each time.
-    let mut stream = MatrixBuilder::new();
-    for batch in encrypted.chunks(20) {
-        stream.extend(batch, &StructureDistance).expect("distances");
+    let mut matrix = DistanceMatrix::new();
+    for (i, batch) in encrypted.chunks(20).enumerate() {
+        matrix
+            .extend(&encrypted[..i * 20], batch, &StructureDistance)
+            .expect("distances");
         println!(
             "provider: batch of {} encrypted queries arrived — matrix now {}×{} ({} packed cells)",
             batch.len(),
-            stream.len(),
-            stream.len(),
-            stream.matrix().packed_len()
+            matrix.len(),
+            matrix.len(),
+            matrix.packed_len()
         );
     }
-    let (_, matrix) = stream.into_parts();
     // A batch provider would compute the same matrix in parallel instead:
     let parallel =
         DistanceMatrix::compute_parallel(&encrypted, &StructureDistance, 4).expect("distances");
