@@ -508,13 +508,22 @@ mod tests {
             m.extend(head, tail, &TokenDistance).unwrap();
             assert!(full.identical(&m), "split = {split}");
         }
+    }
+
+    #[test]
+    fn builder_grows_incrementally_and_matches_batch() {
+        let all = queries(13);
+        let full = DistanceMatrix::compute(&all, &TokenDistance).unwrap();
         // One query at a time, then the rest as one batch.
         let mut m = DistanceMatrix::new();
+        assert!(m.is_empty());
         for t in 0..5 {
             m.extend(&all[..t], &all[t..t + 1], &TokenDistance).unwrap();
+            assert_eq!(m.len(), t + 1);
         }
         m.extend(&all[..5], &all[5..], &TokenDistance).unwrap();
-        assert!(full.identical(&m), "one by one, then a batch");
+        assert_eq!(m.len(), 13);
+        assert!(m.identical(&full), "one by one, then a batch");
     }
 
     #[test]
