@@ -65,7 +65,8 @@ pub struct ShardRecovery {
     pub base: ShardSnapshot,
     /// WAL records past the base epoch, in append order.
     pub tail: Vec<WalRecord>,
-    /// `true` when a torn WAL tail was discarded during replay.
+    /// `true` when a torn WAL tail was discarded: truncated when this
+    /// engine opened the log, or skipped by this replay.
     pub torn_tail: bool,
 }
 
@@ -97,6 +98,10 @@ pub struct Durability {
     dir: PathBuf,
     shards: usize,
     wals: Vec<Mutex<WalWriter>>,
+    /// Per shard: whether opening truncated a torn WAL tail, so
+    /// [`Durability::recover`] can still report what the file no longer
+    /// shows.
+    torn_tails: Vec<bool>,
     checkpoints: AtomicU64,
     last_snapshot: Mutex<Option<u64>>,
 }
@@ -204,6 +209,7 @@ impl Durability {
         factory: &dyn SinkFactory,
     ) -> Result<Durability, DurabilityError> {
         let mut wals = Vec::with_capacity(shards);
+        let mut torn_tails = Vec::with_capacity(shards);
         for shard in 0..shards {
             let path = Durability::wal_path(&dir, shard);
             let bytes = match fs::read(&path) {
@@ -231,12 +237,14 @@ impl Durability {
             let writer = WalWriter::new(sink, replay.valid_len)
                 .map_err(io_err(format!("initializing {}", path.display())))?;
             wals.push(Mutex::new(writer));
+            torn_tails.push(replay.torn_tail);
         }
         let last = Durability::newest_snapshot_seq(&dir)?;
         Ok(Durability {
             dir,
             shards,
             wals,
+            torn_tails,
             checkpoints: AtomicU64::new(0),
             last_snapshot: Mutex::new(last),
         })
@@ -438,7 +446,7 @@ impl Durability {
             out.push(ShardRecovery {
                 base,
                 tail,
-                torn_tail: replay.torn_tail,
+                torn_tail: self.torn_tails[shard] || replay.torn_tail,
             });
         }
         Ok(out)
@@ -605,6 +613,7 @@ mod tests {
         let d = Durability::open(&dir).unwrap();
         let rec = d.recover().unwrap();
         assert_eq!(rec[0].tail.len(), 1, "only the complete record survives");
+        assert!(rec[0].torn_tail, "the discarded tail is reported");
         // The open truncated the file back to its valid prefix...
         assert!(fs::read(&path).unwrap().len() < bytes.len());
         // ...so appending resumes cleanly at the next epoch.

@@ -40,7 +40,8 @@
 //! * A **torn tail** (the file ends mid-frame — the classic crash during
 //!   an append) is *expected* damage: replay keeps every complete frame
 //!   and reports the tail via [`wal::WalReplay::torn_tail`]; reopening
-//!   for append truncates the torn bytes.
+//!   for append truncates the torn bytes, and [`ShardRecovery::torn_tail`]
+//!   still reports that they were discarded.
 //! * A **corrupt frame** (checksum mismatch on a *complete* frame, or a
 //!   checksum-valid frame that does not decode) is *unexpected* damage
 //!   and surfaces as [`DurabilityError::CorruptRecord`] — never as a

@@ -335,6 +335,7 @@ mod tests {
         assert!(crate::wal::read_wal(&wal, 0).unwrap().torn_tail);
         let rec = Durability::open(&dir).unwrap().recover().unwrap();
         assert_eq!(rec[0].final_epoch(), 1);
+        assert!(rec[0].torn_tail, "the discarded half frame is reported");
         // A checkpoint resets the log and lifts the fence.
         let stored = queries(2);
         let matrix = dpe_distance::DistanceMatrix::from_fn(2, |_, _| 0.5);

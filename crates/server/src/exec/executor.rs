@@ -11,56 +11,16 @@
 
 use super::metrics::ExecutionMetrics;
 use super::plan::{ClusterRule, OutlierRule, PhysicalPlan, PlanOp, Projection};
+use crate::plan::PlanCache;
 use crate::request::{Response, ServerError};
-use crate::shard::{cut_response, Shard, ShardIndex};
+use crate::shard::Shard;
 use dpe_mining::{
-    canonical_dbscan_labels, db_outliers, dbscan, frequent_itemsets, kmedoids, lof, lof_outliers,
-    DbscanConfig, Dendrogram, Linkage, LofConfig, OutlierConfig,
+    agglomerative, canonical_dbscan_labels, db_outliers, dbscan, frequent_itemsets, kmedoids, lof,
+    lof_outliers, DbscanConfig, LofConfig, OutlierConfig,
 };
 use std::cmp::Ordering;
-use std::sync::Arc;
+use std::sync::Mutex;
 use std::time::Instant;
-
-/// Where the executor gets the shard's metric index, when one is built:
-/// `PlanOp::{Knn, FilterRange}` pull from it instead of scanning the full
-/// matrix row, and the triangle-inequality skips surface as
-/// [`ExecutionMetrics::pruned_cells`]. Both plan sources sit beside it —
-/// `DirectPlans` and `CachedPlans` resolve to the same shard's index, so
-/// the cached and uncached paths prune identically.
-pub(crate) trait IndexSource {
-    /// The executing shard's metric index, when one is built.
-    fn index(&self) -> Option<&ShardIndex>;
-}
-
-/// Where the executor gets dendrograms: the batch path resolves through the
-/// per-shard plan cache (one build per `(epoch, linkage)`), the uncached
-/// baseline builds from scratch. Implementations report hits/builds into
-/// the query's metrics, so `ExecutionMetrics::plan_hits` stays truthful on
-/// both paths.
-pub(crate) trait PlanSource: IndexSource {
-    /// The dendrogram for `linkage` over the shard being executed.
-    fn resolve(&mut self, linkage: Linkage, metrics: &mut ExecutionMetrics) -> Arc<Dendrogram>;
-}
-
-/// Builds every dendrogram from scratch — the per-query dispatch baseline
-/// ([`crate::Server::serve_one_uncached`] and [`Shard::answer`]).
-pub(crate) struct DirectPlans<'a> {
-    pub(crate) shard: &'a Shard,
-}
-
-impl IndexSource for DirectPlans<'_> {
-    fn index(&self) -> Option<&ShardIndex> {
-        self.shard.index()
-    }
-}
-
-impl PlanSource for DirectPlans<'_> {
-    fn resolve(&mut self, linkage: Linkage, metrics: &mut ExecutionMetrics) -> Arc<Dendrogram> {
-        metrics.plan_builds += 1;
-        metrics.distance_cells += self.shard.matrix().packed_len() as u64;
-        Arc::new(self.shard.build_plan(linkage))
-    }
-}
 
 /// Total ascending order with every NaN after every number — the same
 /// ordering [`dpe_mining::knn_indices`] sorts by, so a `Knn` op over the
@@ -96,15 +56,19 @@ impl Frame {
     }
 }
 
-/// Executes `plan` against `shard`, validating it first (the same
-/// [`PhysicalPlan::validate`] the eager [`Shard::validate`] path uses —
-/// single source, so the two can never disagree) and accumulating
-/// per-operator metrics.
+/// Executes `plan` against `shard`, validating it first
+/// ([`PhysicalPlan::validate`], the single source of request checks) and
+/// accumulating per-operator metrics. `Knn`/`FilterRange` read the shard's
+/// metric index when one is built; dendrograms resolve through `plans` at
+/// the shard's epoch, built at most once per `(epoch, linkage)`. Holding
+/// the mutex across a build is deliberate: a second worker wanting the
+/// same plan blocks and then hits instead of burning another O(n³) build.
+/// A fresh cache per call is the no-cache baseline.
 pub(crate) fn execute(
     shard: &Shard,
     shard_id: usize,
     plan: &PhysicalPlan,
-    plans: &mut dyn PlanSource,
+    plans: &Mutex<PlanCache>,
     metrics: &mut ExecutionMetrics,
 ) -> Result<Response, ServerError> {
     let started = Instant::now();
@@ -132,9 +96,7 @@ pub(crate) fn execute(
                 // packed cells, the tree just skips reading most of them.
                 // A diluted selection reads fewer cells than the whole
                 // index walk would, so it stays on the matrix path.
-                let index = (frame.selection.len() == n)
-                    .then(|| plans.index())
-                    .flatten();
+                let index = shard.index().filter(|_| frame.selection.len() == n);
                 if let Some(index) = index {
                     debug_assert_eq!(index.len(), n, "index out of lockstep with matrix");
                     let (hits, counters) = index.range(matrix, *item, *radius);
@@ -156,9 +118,7 @@ pub(crate) fn execute(
                 // Same full-scan gate as FilterRange: the tree's bounded
                 // worst-first heap reproduces the matrix comparator
                 // (NaN-last distance, then index) bit-identically.
-                let index = (frame.selection.len() == n)
-                    .then(|| plans.index())
-                    .flatten();
+                let index = shard.index().filter(|_| frame.selection.len() == n);
                 if let Some(index) = index {
                     debug_assert_eq!(index.len(), n, "index out of lockstep with matrix");
                     let (neighbours, counters) = index.knn(matrix, *item, *k);
@@ -236,12 +196,26 @@ pub(crate) fn execute(
                     frame.medoids = Some((r.medoids, r.assignment, cost));
                 }
                 ClusterRule::Hierarchical { linkage, k } => {
-                    let dendrogram = plans.resolve(*linkage, metrics);
+                    let mut built = false;
+                    let dendrogram = plans.lock().expect("plan lock poisoned").get_or_build(
+                        shard.epoch(),
+                        *linkage,
+                        || {
+                            built = true;
+                            agglomerative(matrix, *linkage)
+                        },
+                    );
+                    if built {
+                        metrics.plan_builds += 1;
+                        metrics.distance_cells += matrix.packed_len() as u64;
+                    } else {
+                        metrics.plan_hits += 1;
+                    }
                     metrics.distance_cells += frame.selection.len() as u64;
-                    let Response::Labels(full) = cut_response(&dendrogram, *k) else {
-                        unreachable!("cut_response always yields labels")
-                    };
-                    frame.labels = Some(frame.selection.iter().map(|&i| full[i]).collect());
+                    // The cut's ids are already renumbered by smallest
+                    // leaf, so the wire form is just a widening.
+                    let full = dendrogram.cut(*k);
+                    frame.labels = Some(frame.selection.iter().map(|&i| full[i] as i64).collect());
                 }
             },
             PlanOp::Itemsets { min_support } => {

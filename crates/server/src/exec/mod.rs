@@ -4,15 +4,16 @@
 //! single-shot variants and the compound [`crate::Request::Pipeline`] —
 //! compiles ([`PhysicalPlan::compile`]) into a small operator algebra
 //! ([`PlanOp`]): a `Scan`, a chain of selection/scoring operators, and a
-//! final `Project`. One interpreter (`executor`) runs the chain under a
-//! single shard read lock, accumulating [`ExecutionMetrics`] per query
-//! (rows scanned, distance cells touched, cache/plan interactions,
-//! per-operator wall time).
+//! final `Project`. One entry, `execute`, runs the chain under a single
+//! shard read lock, resolving dendrograms through the shard's plan cache
+//! and accumulating [`ExecutionMetrics`] per query (rows scanned, distance
+//! cells touched, cache/plan interactions, per-operator wall time). Every
+//! serving path — batches, `explain` and the no-cache baseline — calls it.
 //!
 //! Validation is **derived from the compiled plan**
-//! (`PhysicalPlan::validate`): [`crate::Shard::validate`] and the
-//! executor read the same op list, so an operator cannot ship with
-//! execution semantics but missing bounds checks.
+//! (`PhysicalPlan::validate`): `execute` checks the same op list it runs,
+//! so an operator cannot ship with execution semantics but missing bounds
+//! checks.
 
 mod executor;
 mod metrics;
@@ -21,4 +22,4 @@ mod plan;
 pub use metrics::{ExecutionMetrics, OpMetric};
 pub use plan::{ClusterRule, OutlierRule, PhysicalPlan, PlanOp, Projection};
 
-pub(crate) use executor::{execute, DirectPlans, IndexSource, PlanSource};
+pub(crate) use executor::execute;

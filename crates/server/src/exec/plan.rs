@@ -129,7 +129,7 @@ pub enum Projection {
 }
 
 /// A compiled, executable plan: the single execution path every request
-/// takes (see [`crate::Server`] and [`crate::Shard::answer`]).
+/// takes (see [`crate::Server`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhysicalPlan {
     ops: Vec<PlanOp>,
@@ -213,8 +213,8 @@ impl PhysicalPlan {
     /// Validates the plan against a shard of `n` items — structure (one
     /// leading `Scan`, one trailing `Project`, whole-shard ops undiluted)
     /// and every operator's parameter preconditions. This is the **single
-    /// source** of request validation: [`crate::Shard::validate`] and the
-    /// executor both call it, so a new op cannot ship with mismatched
+    /// source** of request validation: the executor calls it before
+    /// running the ops it checks, so a new op cannot ship with mismatched
     /// checks.
     pub(crate) fn validate(&self, shard: usize, n: usize) -> Result<(), ServerError> {
         let bad = |why: String| Err(ServerError::BadRequest(why));

@@ -27,7 +27,8 @@
 //! * **Clustering plan cache** — agglomerative clustering's expensive
 //!   artefact, the dendrogram, answers *every* `cut(k)`; it is built once
 //!   per *(shard, epoch, linkage)* and shared across requests, batches and
-//!   clients (same-plan requests are grouped adjacently within a batch).
+//!   clients (one slot per linkage, so request order within a batch never
+//!   costs a build).
 //!   Ingests invalidate plans lazily through the same epoch keying. See
 //!   [`PlanStats`].
 //!

@@ -35,7 +35,9 @@ pub struct PlanStats {
 }
 
 /// One shard's plans: at most one dendrogram per linkage rule, each pinned
-/// to the shard epoch it was built against.
+/// to the shard epoch it was built against. The no-cache baseline
+/// ([`crate::Server::serve_one_uncached`]) hands the executor a fresh one
+/// per request, so it builds every dendrogram and leaves [`PlanStats`] alone.
 #[derive(Debug, Default)]
 pub(crate) struct PlanCache {
     /// Indexed by [`crate::request::linkage_tag`]; `(epoch, plan)`.

@@ -83,20 +83,6 @@ impl Request {
         }
     }
 
-    /// The clustering plan this request consumes, if any: the batch path
-    /// groups same-plan requests together and the plan cache builds each
-    /// (shard, epoch, linkage) dendrogram exactly once.
-    pub(crate) fn plan(&self) -> Option<Linkage> {
-        match self {
-            Request::Hierarchical { linkage, .. } => Some(*linkage),
-            Request::Pipeline { ops, .. } => ops.iter().find_map(|op| match op {
-                PlanOp::ClusterLabels(ClusterRule::Hierarchical { linkage, .. }) => Some(*linkage),
-                _ => None,
-            }),
-            _ => None,
-        }
-    }
-
     /// A hashable bit-exact fingerprint (shard excluded — the cache key
     /// carries the shard and its epoch separately). The encoding is a
     /// tag-led word sequence with a fixed arity per tag, so it is

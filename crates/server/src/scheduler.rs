@@ -25,33 +25,6 @@ pub struct SchedulerStats {
     pub steals: u64,
 }
 
-/// Stably regroups one coalesced shard batch so jobs with equal keys are
-/// adjacent: groups appear in order of their first member, and the original
-/// order is kept within each group. The batch path keys on a request's
-/// clustering plan, so every `Hierarchical` request sharing a linkage runs
-/// back-to-back — the plan cache then builds each dendrogram exactly once
-/// per batch and serves the rest of the group while it is hot. Safe to
-/// reorder because batch outputs are keyed by ticket, never by position.
-pub(crate) fn group_stable_by<J, K: PartialEq>(
-    jobs: VecDeque<J>,
-    key: impl Fn(&J) -> K,
-) -> VecDeque<J> {
-    let mut seen: Vec<K> = Vec::new();
-    let mut ranked: Vec<(usize, J)> = jobs
-        .into_iter()
-        .map(|job| {
-            let k = key(&job);
-            let rank = seen.iter().position(|s| *s == k).unwrap_or_else(|| {
-                seen.push(k);
-                seen.len() - 1
-            });
-            (rank, job)
-        })
-        .collect();
-    ranked.sort_by_key(|&(rank, _)| rank); // stable: ties keep batch order
-    ranked.into_iter().map(|(_, job)| job).collect()
-}
-
 /// Per-shard injector queues plus the counters above.
 #[derive(Debug)]
 pub(crate) struct ShardQueues<J> {
@@ -238,21 +211,6 @@ mod tests {
         let stats = q.stats();
         assert_eq!(stats.batches, 1);
         assert_eq!(stats.steals, 1, "offset-2 take must count as a steal");
-    }
-
-    #[test]
-    fn grouping_is_stable_and_orders_groups_by_first_member() {
-        let jobs: VecDeque<(char, u32)> =
-            [('b', 0), ('a', 1), ('b', 2), ('c', 3), ('a', 4), ('b', 5)].into();
-        let grouped: Vec<(char, u32)> = group_stable_by(jobs, |&(k, _)| k).into();
-        assert_eq!(
-            grouped,
-            vec![('b', 0), ('b', 2), ('b', 5), ('a', 1), ('a', 4), ('c', 3)]
-        );
-        // Degenerate cases: empty, and all-one-group (order untouched).
-        assert!(group_stable_by(VecDeque::<u8>::new(), |_| ()).is_empty());
-        let same: Vec<u8> = group_stable_by(VecDeque::from(vec![3u8, 1, 2]), |_| ()).into();
-        assert_eq!(same, vec![3, 1, 2]);
     }
 
     #[test]

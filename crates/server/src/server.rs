@@ -18,21 +18,25 @@
 //!   `server_throughput` bench compares against: one lock acquisition per
 //!   request, no cache.
 //!
+//! All three, and [`Server::explain`], answer through one executor entry
+//! (`exec::execute`): compile the request, run the plan under the shard's
+//! read lock with dendrograms resolved through a plan cache, record the
+//! query's metrics. The baseline passes a fresh, throwaway plan cache.
+//!
 //! Epoch-versioned cache keys make streaming inserts safe: every successful
 //! [`Server::ingest`] bumps the shard's epoch, so entries computed against
 //! the old store can never be returned afterwards — they simply stop being
 //! addressable and age out of the LRU.
 
 use crate::cache::{CacheStats, LruCache};
-use crate::exec::{self, ExecutionMetrics, IndexSource, PhysicalPlan, PlanSource};
+use crate::exec::{self, ExecutionMetrics, PhysicalPlan};
 use crate::plan::{PlanCache, PlanStats};
 use crate::request::{Request, RequestKey, Response, ServerError, Ticket};
-use crate::scheduler::{group_stable_by, SchedulerStats, ShardQueues};
-use crate::shard::{Shard, ShardIndex};
+use crate::scheduler::{SchedulerStats, ShardQueues};
+use crate::shard::Shard;
 use crate::sql::SqlTable;
 use dpe_distance::QueryDistance;
 use dpe_durability::{Durability, DurabilityError, DurabilityStats, ShardStateRef};
-use dpe_mining::{Dendrogram, Linkage};
 use dpe_sql::Query;
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
@@ -76,44 +80,6 @@ struct ExecTotals {
     metrics: ExecutionMetrics,
 }
 
-/// Resolves dendrograms through a shard's plan cache: built at most once
-/// per `(epoch, linkage)`, shared across requests, batches and clients.
-/// Holding the mutex across a build is deliberate — a second worker
-/// wanting the same plan blocks and then hits, instead of burning another
-/// O(n³) build.
-struct CachedPlans<'a> {
-    shard: &'a Shard,
-    epoch: u64,
-    cache: &'a Mutex<PlanCache>,
-}
-
-impl IndexSource for CachedPlans<'_> {
-    fn index(&self) -> Option<&ShardIndex> {
-        self.shard.index()
-    }
-}
-
-impl PlanSource for CachedPlans<'_> {
-    fn resolve(&mut self, linkage: Linkage, metrics: &mut ExecutionMetrics) -> Arc<Dendrogram> {
-        let mut built = false;
-        let plan = self.cache.lock().expect("plan lock poisoned").get_or_build(
-            self.epoch,
-            linkage,
-            || {
-                built = true;
-                self.shard.build_plan(linkage)
-            },
-        );
-        if built {
-            metrics.plan_builds += 1;
-            metrics.distance_cells += self.shard.matrix().packed_len() as u64;
-        } else {
-            metrics.plan_hits += 1;
-        }
-        plan
-    }
-}
-
 /// The batch-serving engine. Generic over the distance measure used for
 /// ingest — the mining itself reads only the per-shard packed matrices, so
 /// plaintext and DPE-encrypted stores serve bit-identical answers.
@@ -128,9 +94,7 @@ pub struct Server<M> {
     caches: Vec<Mutex<LruCache<CacheKey, Response>>>,
     /// One clustering-plan cache per shard: a dendrogram built once per
     /// (epoch, linkage) serves every `Hierarchical` cut against that store
-    /// version. Holding the mutex across a build is deliberate — a second
-    /// worker wanting the same plan blocks and then hits, instead of
-    /// burning another O(n³) build.
+    /// version (the executor holds the mutex across a build).
     plans: Vec<Mutex<PlanCache>>,
     next_ticket: AtomicU64,
     /// Executor counters summed across every answered query.
@@ -490,8 +454,23 @@ impl<M: QueryDistance + Sync> Server<M> {
     /// as [`ServerError::Durability`] and leaves the shard, its epoch and
     /// its log as they were, and the next ingest may proceed. The log
     /// order is exactly the epoch order readers observe.
+    ///
+    /// A batch holding a query whose canonical rendering does not lex (an
+    /// AST the parser never builds, such as `LIMIT` above `i64::MAX` or an
+    /// identifier like `a-b`) is refused with [`ServerError::BadRequest`]
+    /// before the write lock is taken: such a query would break every
+    /// later distance call against it, even when its own ingest costs none.
     pub fn ingest(&self, shard: usize, new: &[Query]) -> Result<(), ServerError> {
         let slot = self.slot(shard)?;
+        for (i, q) in new.iter().enumerate() {
+            // The AST walk accepts nearly every query; lex only when it
+            // gives up.
+            if dpe_sql::query_tokens(q).is_none() {
+                dpe_sql::token::lex(&q.to_string()).map_err(|e| {
+                    ServerError::BadRequest(format!("ingest: query {i} does not lex: {e}"))
+                })?;
+            }
+        }
         let log = |epoch| match &self.durability {
             Some(d) => d.log_ingest(shard, epoch, new),
             None => Ok(()),
@@ -639,14 +618,13 @@ impl<M: QueryDistance + Sync> Server<M> {
 
     /// Per-query dispatch baseline: answers one request with one lock
     /// acquisition and **no** cache involvement (response cache *and* plan
-    /// cache are both bypassed). This is what serving looks like without
+    /// cache are both bypassed — a throwaway plan cache builds every
+    /// dendrogram from scratch). This is what serving looks like without
     /// the batching layer — the `server_throughput` bench measures the gap.
     pub fn serve_one_uncached(&self, request: &Request) -> Result<Response, ServerError> {
-        let (response, metrics) = self
-            .read_shard(request.shard())?
-            .answer_with_metrics(request)?;
-        self.record_exec(&metrics);
-        Ok(response)
+        let guard = self.read_shard(request.shard())?;
+        self.execute(&guard, request, &Mutex::new(PlanCache::new()))
+            .0
     }
 
     /// Answers one request through the plan executor *with* the plan cache
@@ -656,28 +634,17 @@ impl<M: QueryDistance + Sync> Server<M> {
     pub fn explain(&self, request: &Request) -> Result<(Response, ExecutionMetrics), ServerError> {
         let shard = request.shard();
         let guard = self.read_shard(shard)?;
-        let plan = PhysicalPlan::compile(request);
-        let mut metrics = ExecutionMetrics::default();
-        let mut plans = CachedPlans {
-            shard: &guard,
-            epoch: guard.epoch(),
-            cache: &self.plans[shard],
-        };
-        let response = exec::execute(&guard, shard, &plan, &mut plans, &mut metrics)?;
-        drop(guard);
-        self.record_exec(&metrics);
-        Ok((response, metrics))
+        let (result, metrics) = self.execute(&guard, request, &self.plans[shard]);
+        result.map(|response| (response, metrics))
     }
 
     /// Answers one coalesced shard batch under a single read-lock
-    /// acquisition, consulting the shard's cache partition per request,
-    /// then compiling the request into a [`PhysicalPlan`] and running the
-    /// plan executor. Same-plan requests are grouped adjacently first, and
-    /// dendrograms resolve through the shard's plan cache (built at most
-    /// once per `(epoch, linkage)` — the epoch was read under this read
-    /// lock, so a cached plan provably describes the store answering the
-    /// batch), so one build amortizes across every `Hierarchical` cut in
-    /// the batch.
+    /// acquisition, consulting the shard's cache partition per request and
+    /// executing the misses. Dendrograms resolve through the shard's plan
+    /// cache (built at most once per `(epoch, linkage)` — the epoch was
+    /// read under this read lock, so a cached plan provably describes the
+    /// store answering the batch), so one build amortizes across every
+    /// `Hierarchical` cut in the batch, in any order.
     fn answer_shard_batch(
         &self,
         shard: usize,
@@ -686,8 +653,7 @@ impl<M: QueryDistance + Sync> Server<M> {
         let guard = self.shards[shard].read().expect("shard lock poisoned");
         let epoch = guard.epoch();
         let cache = &self.caches[shard];
-        group_stable_by(jobs, |(_, r)| r.plan())
-            .into_iter()
+        jobs.into_iter()
             .map(|(ticket, request)| {
                 let key = CacheKey {
                     shard,
@@ -701,15 +667,7 @@ impl<M: QueryDistance + Sync> Server<M> {
                     });
                     return (ticket, Ok(hit));
                 }
-                let plan = PhysicalPlan::compile(&request);
-                let mut metrics = ExecutionMetrics::default();
-                let mut plans = CachedPlans {
-                    shard: &guard,
-                    epoch,
-                    cache: &self.plans[shard],
-                };
-                let result = exec::execute(&guard, shard, &plan, &mut plans, &mut metrics);
-                self.record_exec(&metrics);
+                let (result, _) = self.execute(&guard, &request, &self.plans[shard]);
                 if let Ok(response) = &result {
                     cache
                         .lock()
@@ -719,6 +677,23 @@ impl<M: QueryDistance + Sync> Server<M> {
                 (ticket, result)
             })
             .collect()
+    }
+
+    /// The one answer path: compiles `request`, runs it through the plan
+    /// executor against `shard` (read-locked by the caller) with
+    /// dendrograms resolved through `plans`, and folds the query's metrics
+    /// into the server-wide totals.
+    fn execute(
+        &self,
+        shard: &Shard,
+        request: &Request,
+        plans: &Mutex<PlanCache>,
+    ) -> (Result<Response, ServerError>, ExecutionMetrics) {
+        let plan = PhysicalPlan::compile(request);
+        let mut metrics = ExecutionMetrics::default();
+        let result = exec::execute(shard, request.shard(), &plan, plans, &mut metrics);
+        self.record_exec(&metrics);
+        (result, metrics)
     }
 
     /// Writes an epoch-consistent snapshot of every shard (ciphertext
@@ -1243,13 +1218,7 @@ mod tests {
         let mut bad = queries(3, 50);
         bad[1].limit = Some(u64::MAX);
         let err = s.ingest(0, &bad).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                ServerError::Distance(dpe_distance::DistanceError::Unlexable(_))
-            ),
-            "{err:?}"
-        );
+        assert!(matches!(err, ServerError::BadRequest(_)), "{err:?}");
         assert_eq!(s.shard_epoch(0).unwrap(), 1, "the epoch did not move");
 
         let requests = [
@@ -1292,6 +1261,30 @@ mod tests {
             .unwrap();
         assert_eq!(r.shard_epoch(0).unwrap(), 2);
         agree(&r, "recovered");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn unlexable_query_is_refused_at_the_ingest_door_of_an_empty_shard() {
+        // A lone query costs no distance call, so only the door check can
+        // keep it out of an empty shard (and out of its log).
+        let dir = durable_dir("ingest-door");
+        let s = Server::builder(TokenDistance).durability(&dir).build();
+        let mut big_limit = queries(1, 0);
+        big_limit[0].limit = Some(u64::MAX);
+        let mut dashed = queries(1, 0);
+        dashed[0].from = dpe_sql::TableRef::new("a-b");
+        for bad in [big_limit, dashed] {
+            let err = s.ingest(0, &bad).unwrap_err();
+            assert!(matches!(err, ServerError::BadRequest(_)), "{err:?}");
+            assert_eq!(s.shard_epoch(0).unwrap(), 0, "{bad:?}");
+            let wal = s.stats().durability.expect("durable").wal_records;
+            assert_eq!(wal, 0, "{bad:?} reached the log");
+        }
+        s.ingest(0, &queries(3, 0)).unwrap();
+        assert_eq!(s.shard_epoch(0).unwrap(), 1);
+        assert_eq!(s.stats().durability.expect("durable").wal_records, 1);
+        drop(s);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

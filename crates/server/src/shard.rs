@@ -12,13 +12,11 @@
 //! step, [`Shard::apply`]: extend the matrix, run the optional log step,
 //! then commit. Live ingest, streamed chunks and WAL replay all call it.
 
-use crate::exec::{self, ExecutionMetrics, PhysicalPlan};
-use crate::request::{Request, Response, ServerError};
+use crate::request::ServerError;
 use dpe_distance::index::{MatrixSource, QueryCounters, VpTree};
 use dpe_distance::{DistanceMatrix, QueryDistance};
 use dpe_durability::DurabilityError;
 use dpe_mining::apriori::Transaction;
-use dpe_mining::{agglomerative, Dendrogram, Linkage};
 use dpe_sql::{feature_set, Query};
 
 /// A tenant's slice of the store: queries in insertion order plus the
@@ -40,7 +38,7 @@ pub struct Shard {
 /// The matrix stays the ground truth — the tree only decides *which* cells
 /// a `Knn`/`FilterRange` op reads, so indexed answers are bit-identical to
 /// matrix-path answers while triangle-inequality pruning skips the rest
-/// (the skips surface as [`ExecutionMetrics::pruned_cells`]).
+/// (the skips surface as [`crate::ExecutionMetrics::pruned_cells`]).
 ///
 /// Building one is only sound for measures declaring
 /// [`QueryDistance::is_metric`]; [`crate::Server`] enforces that — a
@@ -230,45 +228,6 @@ impl Shard {
         self.index.as_ref()
     }
 
-    /// Validates `request` against the shard's current size, returning the
-    /// error a worker would otherwise panic on inside the mining layer.
-    /// The checks are **derived from the compiled physical plan**
-    /// (`PhysicalPlan::validate`) — the same single source the
-    /// executor consults, so validation and execution cannot drift apart.
-    pub fn validate(&self, request: &Request) -> Result<(), ServerError> {
-        PhysicalPlan::compile(request).validate(request.shard(), self.len())
-    }
-
-    /// Answers a request from the packed matrix by compiling it into a
-    /// physical plan and running the plan executor. Pure matrix reads —
-    /// the caller holds (at least) a read lock. Dendrograms are built from
-    /// scratch here; this is the uncached baseline — the server's batch
-    /// path supplies the per-shard plan cache to the same executor instead
-    /// (see [`crate::Server::stats`]).
-    pub fn answer(&self, request: &Request) -> Result<Response, ServerError> {
-        self.answer_with_metrics(request)
-            .map(|(response, _)| response)
-    }
-
-    /// [`Shard::answer`], also returning the query's [`ExecutionMetrics`].
-    pub fn answer_with_metrics(
-        &self,
-        request: &Request,
-    ) -> Result<(Response, ExecutionMetrics), ServerError> {
-        let plan = PhysicalPlan::compile(request);
-        let mut metrics = ExecutionMetrics::default();
-        let mut plans = exec::DirectPlans { shard: self };
-        let response = exec::execute(self, request.shard(), &plan, &mut plans, &mut metrics)?;
-        Ok((response, metrics))
-    }
-
-    /// Builds the agglomerative clustering plan for `linkage` from the
-    /// packed matrix — the expensive artefact the server's plan cache
-    /// stores once per (shard, epoch, linkage).
-    pub fn build_plan(&self, linkage: Linkage) -> Dendrogram {
-        agglomerative(&self.matrix, linkage)
-    }
-
     /// The shard's query log as Apriori transactions: each query's
     /// `features(Q)` set, printed — set equality is all Apriori reads, so
     /// this serves plaintext and DPE-encrypted logs alike.
@@ -280,23 +239,31 @@ impl Shard {
     }
 }
 
-/// Cuts a built plan into `k` clusters in canonical wire form. The cut's
-/// ids are already renumbered by smallest leaf, so the conversion is just a
-/// widening — shared by the uncached path and the plan-cached batch path so
-/// they cannot diverge.
-pub(crate) fn cut_response(plan: &Dendrogram, k: usize) -> Response {
-    Response::Labels(plan.cut(k).into_iter().map(|c| c as i64).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{self, ExecutionMetrics, PhysicalPlan};
+    use crate::plan::PlanCache;
+    use crate::request::{Request, Response};
     use dpe_distance::TokenDistance;
     use dpe_mining::{
-        canonical_dbscan_labels, db_outliers, dbscan, kmedoids, knn_indices, lof, range_indices,
-        DbscanConfig, LofConfig, OutlierConfig,
+        agglomerative, canonical_dbscan_labels, db_outliers, dbscan, kmedoids, knn_indices, lof,
+        range_indices, DbscanConfig, Linkage, LofConfig, OutlierConfig,
     };
     use dpe_sql::parse_query;
+    use std::sync::Mutex;
+
+    /// Answers `request` through the one executor entry with a fresh plan
+    /// cache — what `Server::serve_one_uncached` does under its lock.
+    fn answer(shard: &Shard, request: &Request) -> Result<Response, ServerError> {
+        exec::execute(
+            shard,
+            request.shard(),
+            &PhysicalPlan::compile(request),
+            &Mutex::new(PlanCache::new()),
+            &mut ExecutionMetrics::default(),
+        )
+    }
 
     fn queries(n: usize) -> Vec<Query> {
         (0..n)
@@ -471,39 +438,47 @@ mod tests {
         shard.apply(&queries(10), &TokenDistance, None).unwrap();
         let m = shard.matrix();
 
-        let knn = shard
-            .answer(&Request::Knn {
+        let knn = answer(
+            &shard,
+            &Request::Knn {
                 shard: 0,
                 item: 3,
                 k: 4,
-            })
-            .unwrap();
+            },
+        )
+        .unwrap();
         assert_eq!(knn, Response::Indices(knn_indices(m, 3, 4)));
 
-        let range = shard
-            .answer(&Request::Range {
+        let range = answer(
+            &shard,
+            &Request::Range {
                 shard: 0,
                 item: 3,
                 radius: 0.5,
-            })
-            .unwrap();
+            },
+        )
+        .unwrap();
         assert_eq!(range, Response::Indices(range_indices(m, 3, 0.5)));
 
-        let scores = shard
-            .answer(&Request::Lof {
+        let scores = answer(
+            &shard,
+            &Request::Lof {
                 shard: 0,
                 min_pts: 3,
-            })
-            .unwrap();
+            },
+        )
+        .unwrap();
         assert!(scores.bits_eq(&Response::Scores(lof(m, LofConfig { min_pts: 3 }))));
 
-        let out = shard
-            .answer(&Request::Outliers {
+        let out = answer(
+            &shard,
+            &Request::Outliers {
                 shard: 0,
                 p: 0.6,
                 d: 0.4,
-            })
-            .unwrap();
+            },
+        )
+        .unwrap();
         assert_eq!(
             out,
             Response::Indices(db_outliers(m, OutlierConfig { p: 0.6, d: 0.4 }))
@@ -516,13 +491,15 @@ mod tests {
         shard.apply(&queries(10), &TokenDistance, None).unwrap();
         let m = shard.matrix();
 
-        let db = shard
-            .answer(&Request::Dbscan {
+        let db = answer(
+            &shard,
+            &Request::Dbscan {
                 shard: 0,
                 eps: 0.5,
                 min_pts: 2,
-            })
-            .unwrap();
+            },
+        )
+        .unwrap();
         assert!(
             db.bits_eq(&Response::Labels(canonical_dbscan_labels(&dbscan(
                 m,
@@ -533,7 +510,7 @@ mod tests {
             ))))
         );
 
-        let km = shard.answer(&Request::KMedoids { shard: 0, k: 3 }).unwrap();
+        let km = answer(&shard, &Request::KMedoids { shard: 0, k: 3 }).unwrap();
         let oracle = kmedoids(m, 3);
         assert!(km.bits_eq(&Response::Medoids {
             cost: oracle.cost(m),
@@ -542,13 +519,15 @@ mod tests {
         }));
 
         for linkage in [Linkage::Complete, Linkage::Single, Linkage::Average] {
-            let cut = shard
-                .answer(&Request::Hierarchical {
+            let cut = answer(
+                &shard,
+                &Request::Hierarchical {
                     shard: 0,
                     linkage,
                     k: 4,
-                })
-                .unwrap();
+                },
+            )
+            .unwrap();
             let expect: Vec<i64> = agglomerative(m, linkage)
                 .cut(4)
                 .into_iter()
@@ -557,12 +536,14 @@ mod tests {
             assert!(cut.bits_eq(&Response::Labels(expect)), "{linkage:?}");
         }
 
-        let fi = shard
-            .answer(&Request::FrequentItemsets {
+        let fi = answer(
+            &shard,
+            &Request::FrequentItemsets {
                 shard: 0,
                 min_support: 3,
-            })
-            .unwrap();
+            },
+        )
+        .unwrap();
         match fi {
             Response::Itemsets(sets) => {
                 assert!(!sets.is_empty(), "shared SELECT/FROM features recur");
@@ -577,11 +558,14 @@ mod tests {
         let mut shard = Shard::new();
         shard.apply(&queries(4), &TokenDistance, None).unwrap();
 
-        let oob = shard.answer(&Request::Knn {
-            shard: 2,
-            item: 4,
-            k: 1,
-        });
+        let oob = answer(
+            &shard,
+            &Request::Knn {
+                shard: 2,
+                item: 4,
+                k: 1,
+            },
+        );
         assert_eq!(
             oob,
             Err(ServerError::ItemOutOfBounds {
@@ -648,7 +632,7 @@ mod tests {
             },
         ] {
             assert!(
-                matches!(shard.answer(&bad), Err(ServerError::BadRequest(_))),
+                matches!(answer(&shard, &bad), Err(ServerError::BadRequest(_))),
                 "{bad:?}"
             );
         }

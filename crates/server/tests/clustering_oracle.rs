@@ -6,7 +6,7 @@
 //! served `Dbscan` / `KMedoids` / `Hierarchical` / `FrequentItemsets`
 //! response is **bit-identical** (`bits_eq`) to a direct `dpe_mining` call
 //! on a distance matrix recomputed sequentially from scratch — a code path
-//! the server never touches. Plan caching and batch grouping may change
+//! the server never touches. Plan caching and batch coalescing may change
 //! *when* a dendrogram is built, never *what* any cut answers.
 
 use dpe_distance::{DistanceMatrix, TokenDistance};

@@ -170,3 +170,46 @@ fn submit_drain_path_reuses_plans_too() {
     assert_eq!(stats.builds, 2, "one plan per shard for the whole drain");
     assert_eq!(stats.hits, 20);
 }
+
+#[test]
+fn interleaved_linkages_build_each_plan_once_in_any_order() {
+    const N: usize = 10;
+    const KS: [usize; 4] = [2, 3, 5, 7];
+    const LINKAGES: [Linkage; 3] = [Linkage::Complete, Linkage::Single, Linkage::Average];
+    // C,S,A,C,S,A,…: no two neighbours share a plan, and no pass regroups
+    // them — one slot per linkage is what keeps the builds at three.
+    let interleaved: Vec<Request> = KS
+        .iter()
+        .flat_map(|&k| {
+            LINKAGES.map(|linkage| Request::Hierarchical {
+                shard: 0,
+                linkage,
+                k,
+            })
+        })
+        .collect();
+    let expect = |server: &Server<TokenDistance>| {
+        let stats = server.stats().plans;
+        assert_eq!(
+            (stats.builds, stats.hits, stats.live),
+            (3, (interleaved.len() - 3) as u64, 3),
+            "one build per linkage, every other cut a hit"
+        );
+    };
+
+    let batched = build_server(N);
+    let results = batched.serve_batch(&interleaved, 2);
+    for (req, result) in interleaved.iter().zip(&results) {
+        let oracle = batched.serve_one_uncached(req).unwrap();
+        assert!(result.as_ref().unwrap().bits_eq(&oracle), "{req:?}");
+    }
+    expect(&batched);
+
+    let drained = build_server(N);
+    for req in &interleaved {
+        drained.submit(req.clone()).unwrap();
+    }
+    let results = drained.drain(2);
+    assert!(results.iter().all(|(_, r)| r.is_ok()));
+    expect(&drained);
+}

@@ -47,14 +47,22 @@ mod proptests {
     use proptest::prelude::*;
 
     /// A tiny generator of random-but-valid queries over a fixed schema.
+    /// Predicate constants are integers or string literals, the latter
+    /// with escaped quotes and multi-byte UTF-8.
     fn arb_query() -> impl Strategy<Value = String> {
         let col = prop::sample::select(vec!["ra", "dec", "objid", "z", "class"]);
         let table = prop::sample::select(vec!["photoobj", "specobj", "neighbors"]);
         let op = prop::sample::select(vec!["=", "<", ">", "<=", ">=", "!="]);
+        let text =
+            prop::sample::select(vec!["STAR", "o'brien", "\u{e9}t\u{e9}", "日本", "Ω ü", ""]);
+        let value = (any::<i64>(), prop::option::of(text)).prop_map(|(v, text)| match text {
+            Some(t) => format!("'{}'", t.replace('\'', "''")),
+            None => v.to_string(),
+        });
         (
             prop::collection::vec(col.clone(), 1..4),
             table,
-            prop::collection::vec((col, op, any::<i64>()), 0..3),
+            prop::collection::vec((col, op, value), 0..3),
             any::<bool>(),
             prop::option::of(0u64..1000),
         )

@@ -194,9 +194,15 @@ pub fn lex(sql: &str) -> Result<Vec<Spanned>, SqlError> {
                                 break;
                             }
                         }
-                        Some(&b) => {
-                            value.push(b as char);
-                            i += 1;
+                        Some(_) => {
+                            // Copy the run up to the next quote as text: the
+                            // quote is ASCII, so the run is whole UTF-8.
+                            let end = bytes[i..]
+                                .iter()
+                                .position(|&b| b == b'\'')
+                                .map_or(bytes.len(), |p| i + p);
+                            value.push_str(&sql[i..end]);
+                            i = end;
                         }
                     }
                 }
@@ -311,6 +317,7 @@ mod tests {
     fn string_literals_with_escapes() {
         assert_eq!(kinds("'abc'"), vec![Token::Str("abc".into())]);
         assert_eq!(kinds("'o''brien'"), vec![Token::Str("o'brien".into())]);
+        assert_eq!(kinds("'é''ü'"), vec![Token::Str("é'ü".into())]);
         assert!(lex("'unterminated").is_err());
     }
 

@@ -59,15 +59,7 @@ impl QueryToken<'_> {
         match *self {
             QueryToken::Sym(s) | QueryToken::Word(s) => s.to_string(),
             QueryToken::Int(v) => v.to_string(),
-            // The lexer reads a string literal byte by byte, widening each
-            // byte to a `char`.
-            QueryToken::Str(s) => {
-                let mut out = String::with_capacity(s.len() + 2);
-                out.push('\'');
-                out.extend(s.bytes().map(char::from));
-                out.push('\'');
-                out
-            }
+            QueryToken::Str(s) => format!("'{s}'"),
         }
     }
 }
