@@ -7,13 +7,13 @@
 //! 2. **Incremental wall-clock**: appending a batch of m queries via
 //!    `extend` computes only the `m·n + m(m−1)/2` new pairs, vs the full
 //!    `(n+m)(n+m−1)/2` of a recompute.
-//! 3. **Parallel result distance**: the engine-backed measure — locked to
-//!    the sequential path before `QueryDistanceFactory` — now scales over
-//!    workers, each with its own connection.
+//! 3. **Parallel result distance**: the engine-backed measure scales over
+//!    workers that share one `ResultConnection` and its memo of executed
+//!    queries.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use dpe_bench::{experiment_database, result_safe_log};
-use dpe_distance::{DistanceMatrix, ResultDistance, ResultDistanceFactory, TokenDistance};
+use dpe_distance::{DistanceMatrix, ResultConnection, ResultDistance, TokenDistance};
 use dpe_workload::{LogConfig, LogGenerator};
 
 fn bench_matrix_packed(c: &mut Criterion) {
@@ -62,11 +62,11 @@ fn bench_matrix_packed(c: &mut Criterion) {
     });
     group.finish();
 
-    // Parallel result distance: per-worker engine connections.
+    // Parallel result distance: one shared engine connection per matrix.
     let db = experiment_database(60, 0x33);
     let rlog = result_safe_log(48, 0x34);
     let seq = DistanceMatrix::compute(&rlog, &ResultDistance::new(&db)).unwrap();
-    let par = DistanceMatrix::compute_parallel(&rlog, &ResultDistanceFactory::new(&db), 4).unwrap();
+    let par = DistanceMatrix::compute_parallel(&rlog, &ResultConnection::new(&db), 4).unwrap();
     assert!(
         seq.identical(&par),
         "parallel result path must be bit-identical"
@@ -79,8 +79,7 @@ fn bench_matrix_packed(c: &mut Criterion) {
     for threads in [2usize, 4] {
         group.bench_with_input(BenchmarkId::new("parallel", threads), &threads, |b, &t| {
             b.iter(|| {
-                DistanceMatrix::compute_parallel(&rlog, &ResultDistanceFactory::new(&db), t)
-                    .unwrap()
+                DistanceMatrix::compute_parallel(&rlog, &ResultConnection::new(&db), t).unwrap()
             });
         });
     }

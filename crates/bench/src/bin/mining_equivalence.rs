@@ -12,8 +12,8 @@
 use dpe_bench::*;
 use dpe_core::verify::mining_agreement;
 use dpe_distance::{
-    AccessAreaDistance, DistanceMatrix, QueryDistanceFactory, ResultDistanceFactory,
-    StructureDistance, TokenDistance,
+    AccessAreaDistance, DistanceMatrix, QueryDistance, ResultConnection, StructureDistance,
+    TokenDistance,
 };
 use dpe_mining::{DbscanConfig, OutlierConfig};
 use dpe_sql::Query;
@@ -30,17 +30,17 @@ fn check(
     name: &str,
     plain_log: &[Query],
     enc_log: &[Query],
-    d_plain: &impl QueryDistanceFactory,
-    d_enc: &impl QueryDistanceFactory,
+    d_plain: &(impl QueryDistance + Sync),
+    d_enc: &(impl QueryDistance + Sync),
 ) -> bool {
     // The matrices are computed on the parallel path (all four measures —
-    // the result measure gets one engine connection per worker via its
-    // factory) and cross-checked bit-for-bit against the sequential path.
+    // the result measure's workers share one engine connection and its
+    // memo) and cross-checked bit-for-bit against the sequential path.
     let m_plain =
         DistanceMatrix::compute_parallel(plain_log, d_plain, THREADS).expect("plain matrix");
     let m_enc =
         DistanceMatrix::compute_parallel(enc_log, d_enc, THREADS).expect("encrypted matrix");
-    let m_seq = DistanceMatrix::compute(plain_log, &d_plain.connect()).expect("sequential");
+    let m_seq = DistanceMatrix::compute(plain_log, d_plain).expect("sequential");
     assert!(
         m_plain.identical(&m_seq),
         "{name}: parallel path diverged from sequential"
@@ -100,8 +100,8 @@ fn main() {
         "result",
         &rlog,
         &enc_rlog,
-        &ResultDistanceFactory::new(&db),
-        &ResultDistanceFactory::new(dpe.encrypted_database()),
+        &ResultConnection::new(&db),
+        &ResultConnection::new(dpe.encrypted_database()),
     );
 
     if ok {

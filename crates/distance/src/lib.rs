@@ -16,11 +16,12 @@
 //! engine stores only the strict upper triangle (`n(n−1)/2` packed cells —
 //! half the memory of a full n×n grid), grows **incrementally**
 //! ([`matrix::DistanceMatrix::extend`] computes only the new pairs when
-//! queries are appended), and parallelizes over
-//! contiguous row ranges written in place, with
-//! [`matrix::QueryDistanceFactory`] handing each worker its own measure —
-//! so even the engine-backed result-distance measure runs on the parallel
-//! path via [`result_distance::ResultDistanceFactory`].
+//! queries are appended), and parallelizes over contiguous row ranges
+//! written in place; every constructor fills cells through one row walk.
+//! Workers share one `Sync` measure, so even the engine-backed
+//! result-distance measure runs on the parallel path: all workers share
+//! one [`result_distance::ResultConnection`] and its memo of executed
+//! queries.
 //!
 //! [`index`] escapes the matrix's O(n²) wall for the per-anchor queries:
 //! a vantage-point tree ([`index::VpTree`]) answers kNN and range queries
@@ -48,8 +49,8 @@ pub mod token_distance;
 pub use access_area::{AccessAreaDistance, AttributeDomain, DomainCatalog, IntervalSet};
 pub use index::{DistanceSource, MatrixSource, MeasureSource, QueryCounters, VpTree};
 pub use jaccard::jaccard_distance;
-pub use matrix::{DistanceMatrix, QueryDistanceFactory};
+pub use matrix::DistanceMatrix;
 pub use measure::{DistanceError, QueryDistance};
-pub use result_distance::{ResultConnection, ResultDistance, ResultDistanceFactory};
+pub use result_distance::{ResultConnection, ResultDistance};
 pub use structure_distance::StructureDistance;
 pub use token_distance::TokenDistance;

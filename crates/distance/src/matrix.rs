@@ -9,6 +9,9 @@
 //!   `i < j` lives at `j(j−1)/2 + i`: all distances from item `j` to the
 //!   items before it form one contiguous *row slice*, which is what makes
 //!   both incremental growth and range-parallelism cheap.
+//! * **One row walk.** Every constructor fills cells through the same
+//!   private walk over packed rows, in storage order: sequential growth
+//!   walks the new rows, and each parallel worker walks its own range.
 //! * **Incremental growth.** Appending item `n` appends exactly `n` cells
 //!   at the end of the packed buffer — no re-indexing of existing cells.
 //!   [`DistanceMatrix::extend`] grows a matrix by `m` queries with exactly
@@ -19,10 +22,10 @@
 //!   calls) to std scoped threads; each worker writes directly into its
 //!   disjoint slice of the packed buffer — no per-row scratch allocations —
 //!   and a shared [`AtomicBool`] stops all workers as soon as one records
-//!   an error. Workers obtain their measure through a
-//!   [`QueryDistanceFactory`], so even the result-distance measure (which
-//!   executes queries against an engine) parallelizes: each worker gets its
-//!   own connection via [`crate::result_distance::ResultDistanceFactory`].
+//!   an error. Workers share one `Sync` measure, so the result-distance
+//!   measure parallelizes through one
+//!   [`crate::result_distance::ResultConnection`] whose memo every worker
+//!   reads and fills.
 //!
 //! Both paths produce bit-identical matrices — every cell is the value of
 //! the same single `measure.distance(&queries[i], &queries[j])` call with
@@ -32,39 +35,9 @@
 use crate::measure::{DistanceError, QueryDistance};
 use dpe_sql::Query;
 use std::cmp::Ordering;
+use std::convert::Infallible;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
-
-/// Hands each parallel worker its own distance-measure instance.
-///
-/// Pure measures (token, structure, access-area) are `Sync` and shared by
-/// reference — the blanket impl below makes any `QueryDistance + Sync`
-/// value its own factory, so `compute_parallel(&log, &TokenDistance, 4)`
-/// keeps working verbatim. Connection-oriented measures implement the
-/// trait explicitly and open one connection per worker in
-/// [`QueryDistanceFactory::connect`] — worker-private state like the
-/// result measure's per-connection query cache is exactly what the factory
-/// exists for, since such connections are `!Sync` by design (see
-/// [`crate::result_distance::ResultDistanceFactory`]).
-pub trait QueryDistanceFactory: Sync {
-    /// The per-worker measure handed out by [`QueryDistanceFactory::connect`].
-    type Connection<'a>: QueryDistance
-    where
-        Self: 'a;
-
-    /// Opens a measure instance for one worker thread.
-    fn connect(&self) -> Self::Connection<'_>;
-}
-
-impl<M: QueryDistance + Sync> QueryDistanceFactory for M {
-    type Connection<'a>
-        = &'a M
-    where
-        Self: 'a;
-
-    fn connect(&self) -> &M {
-        self
-    }
-}
 
 /// A symmetric n×n distance matrix with zero diagonal, stored as the
 /// strict upper triangle packed into `n(n−1)/2` cells.
@@ -79,6 +52,34 @@ pub struct DistanceMatrix {
 #[inline]
 fn packed_cells(n: usize) -> usize {
     n * n.saturating_sub(1) / 2
+}
+
+/// The one packed row walk: writes rows `rows` (row `t` is the `t` cells
+/// `cell(0, t), …, cell(t − 1, t)`) into `out` in storage order. Stops at
+/// the next cell once `stop` is raised, and raises it on the first error,
+/// which it returns.
+fn fill_rows<E>(
+    out: &mut [f64],
+    rows: Range<usize>,
+    stop: &AtomicBool,
+    mut cell: impl FnMut(usize, usize) -> Result<f64, E>,
+) -> Result<(), E> {
+    let mut slots = out.iter_mut();
+    for t in rows {
+        for i in 0..t {
+            if stop.load(AtomicOrdering::Relaxed) {
+                return Ok(());
+            }
+            match cell(i, t) {
+                Ok(d) => *slots.next().expect("out sized to its rows") = d,
+                Err(e) => {
+                    stop.store(true, AtomicOrdering::Relaxed);
+                    return Err(e);
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 impl DistanceMatrix {
@@ -123,26 +124,33 @@ impl DistanceMatrix {
             self.n,
             existing.len()
         );
-        self.data
-            .reserve_exact(packed_cells(self.n + new.len()) - self.data.len());
-        for (a, q) in new.iter().enumerate() {
-            for i in 0..self.n + a {
-                let other = if i < self.n {
-                    &existing[i]
-                } else {
-                    &new[i - self.n]
-                };
-                match measure.distance(other, q) {
-                    Ok(d) => self.data.push(d),
-                    Err(e) => {
-                        self.truncate(self.n);
-                        return Err(e);
-                    }
-                }
-            }
+        let n = self.n;
+        let item = |k: usize| if k < n { &existing[k] } else { &new[k - n] };
+        self.grow(new.len(), |i, t| measure.distance(item(i), item(t)))
+    }
+
+    /// Sizes the buffer for `m` more items and fills their rows through
+    /// [`fill_rows`]. On the first error the buffer is truncated back, so
+    /// the matrix is left exactly as it was.
+    fn grow<E>(
+        &mut self,
+        m: usize,
+        cell: impl FnMut(usize, usize) -> Result<f64, E>,
+    ) -> Result<(), E> {
+        let (n, start, total) = (self.n, self.data.len(), packed_cells(self.n + m));
+        self.data.reserve_exact(total - start);
+        self.data.resize(total, 0.0);
+        let filled = fill_rows(
+            &mut self.data[start..],
+            n..n + m,
+            &AtomicBool::new(false),
+            cell,
+        );
+        match filled {
+            Ok(()) => self.n += m,
+            Err(_) => self.truncate(n),
         }
-        self.n += new.len();
-        Ok(())
+        filled
     }
 
     /// Shrinks the matrix to its first `n` items, dropping every cell of
@@ -159,21 +167,20 @@ impl DistanceMatrix {
     ///
     /// The packed rows `1..n` (row `j` = the `j` cells `(0..j, j)`, one
     /// contiguous slice) are dealt out as contiguous ranges balanced by
-    /// cell count; each worker writes straight into its disjoint slice of
-    /// the packed buffer, so the parallel path allocates **no** scratch
-    /// beyond the result itself. A shared flag makes every worker stop at
-    /// the next cell once any worker has recorded an error, and the first
-    /// (lowest-range) error is reported.
+    /// cell count; each worker walks its range straight into its disjoint
+    /// slice of the packed buffer, so the parallel path allocates **no**
+    /// scratch beyond the result itself. A shared flag makes every worker
+    /// stop at the next cell once any worker has recorded an error, and the
+    /// first (lowest-range) error is reported.
     ///
     /// The result is bit-identical to [`DistanceMatrix::compute`]: every
     /// cell is produced by the same single `distance` call, just on a
-    /// different thread. Workers draw their measure from the
-    /// [`QueryDistanceFactory`] — pass a pure `Sync` measure directly, or a
-    /// factory such as [`crate::result_distance::ResultDistanceFactory`]
-    /// to give each worker its own engine connection.
-    pub fn compute_parallel<F: QueryDistanceFactory>(
+    /// different thread. All workers share `measure`; the result measure
+    /// takes part through a [`crate::result_distance::ResultConnection`],
+    /// whose memo is `Sync`.
+    pub fn compute_parallel<M: QueryDistance + Sync>(
         queries: &[Query],
-        factory: &F,
+        measure: &M,
         threads: usize,
     ) -> Result<DistanceMatrix, DistanceError> {
         let n = queries.len();
@@ -187,14 +194,14 @@ impl DistanceMatrix {
         let threads = threads.clamp(1, n - 1);
         let mut data = vec![0.0f64; cells];
         let stop = AtomicBool::new(false);
-        let mut failures: Vec<Option<DistanceError>> = (0..threads).map(|_| None).collect();
+        let mut outcomes: Vec<Result<(), DistanceError>> = vec![Ok(()); threads];
 
         std::thread::scope(|scope| {
             let stop = &stop;
             let mut rest: &mut [f64] = &mut data;
             let mut row = 1usize;
             let mut offset = 0usize;
-            for (w, fail_slot) in failures.iter_mut().enumerate() {
+            for (w, outcome) in outcomes.iter_mut().enumerate() {
                 // Grow the range row by row until it covers this worker's
                 // share of the cells (row j costs j calls, so equal cell
                 // counts balance the triangle).
@@ -212,30 +219,15 @@ impl DistanceMatrix {
                 let rows = row..end_row;
                 (row, offset) = (end_row, end_offset);
                 scope.spawn(move || {
-                    let measure = factory.connect();
-                    let mut cell = chunk.iter_mut();
-                    for j in rows {
-                        for i in 0..j {
-                            if stop.load(AtomicOrdering::Relaxed) {
-                                return;
-                            }
-                            match measure.distance(&queries[i], &queries[j]) {
-                                Ok(d) => *cell.next().expect("chunk sized to its rows") = d,
-                                Err(e) => {
-                                    *fail_slot = Some(e);
-                                    stop.store(true, AtomicOrdering::Relaxed);
-                                    return;
-                                }
-                            }
-                        }
-                    }
+                    *outcome = fill_rows(chunk, rows, stop, |i, t| {
+                        measure.distance(&queries[i], &queries[t])
+                    });
                 });
             }
         });
 
-        if let Some(e) = failures.into_iter().flatten().next() {
-            return Err(e);
-        }
+        // The first error in range order wins.
+        outcomes.into_iter().collect::<Result<(), _>>()?;
         Ok(DistanceMatrix { n, data })
     }
 
@@ -252,15 +244,7 @@ impl DistanceMatrix {
     /// the infallible, measure-free analogue of [`DistanceMatrix::extend`]
     /// for streaming non-SQL workloads (e.g. graph corpora).
     pub fn extend_with(&mut self, m: usize, mut f: impl FnMut(usize, usize) -> f64) {
-        let total = self.n + m;
-        self.data
-            .reserve_exact(packed_cells(total) - self.data.len());
-        for t in self.n..total {
-            for i in 0..t {
-                self.data.push(f(i, t));
-            }
-        }
-        self.n = total;
+        let Ok(()) = self.grow::<Infallible>(m, |i, t| Ok(f(i, t)));
     }
 
     /// Number of items.

@@ -65,20 +65,3 @@ pub trait QueryDistance {
         false
     }
 }
-
-/// Shared references measure through the referent, so `Sync` measures can
-/// be handed to parallel workers by reference (see
-/// [`crate::matrix::QueryDistanceFactory`]).
-impl<M: QueryDistance + ?Sized> QueryDistance for &M {
-    fn distance(&self, a: &Query, b: &Query) -> Result<f64, DistanceError> {
-        (**self).distance(a, b)
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn is_metric(&self) -> bool {
-        (**self).is_metric()
-    }
-}

@@ -21,14 +21,11 @@
 //! in DESIGN.md §4b.
 
 use crate::jaccard::jaccard_distance;
-use crate::matrix::QueryDistanceFactory;
 use crate::measure::{DistanceError, QueryDistance};
 use dpe_minidb::{tagged_result_tuples, Database, Row};
 use dpe_sql::Query;
-use std::cell::RefCell;
-use std::collections::BTreeSet;
-use std::collections::HashMap;
-use std::rc::Rc;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Result distance against a fixed database state.
 pub struct ResultDistance<'db> {
@@ -60,43 +57,49 @@ impl QueryDistance for ResultDistance<'_> {
     }
 }
 
-/// One worker's engine connection: executes queries against the database
-/// and **memoizes each query's tagged result-tuple set**, so a query that
-/// appears in many pairs of the worker's matrix range executes once, not
-/// once per pair. The cache makes the connection deliberately `!Sync`
-/// (`RefCell` + `Rc`) — connections are private per-worker state, handed
-/// out by [`ResultDistanceFactory`]; share the cacheless [`ResultDistance`]
-/// instead if you want one `Sync` measure across threads.
+/// An engine connection that executes queries against the database and
+/// **memoizes each query's tagged result-tuple set**, so a query that
+/// appears in many pairs of a matrix executes once, not once per pair.
+/// The memo sits behind a `Mutex`, so one connection is `Sync` and is
+/// shared by every worker of `DistanceMatrix::compute_parallel`: each
+/// distinct query is memoized once per matrix. A miss executes the query
+/// outside the lock, so workers never wait on each other's queries. The
+/// memo-free [`ResultDistance`] is the reference it must match bit for bit.
 pub struct ResultConnection<'db> {
     db: &'db Database,
-    cache: RefCell<HashMap<String, TaggedTuples>>,
+    cache: Mutex<HashMap<String, TaggedTuples>>,
 }
 
 /// One query's schema-tagged result-tuple set, shared across cache hits.
-type TaggedTuples = Rc<BTreeSet<(Vec<String>, Row)>>;
+type TaggedTuples = Arc<BTreeSet<(Vec<String>, Row)>>;
 
 impl<'db> ResultConnection<'db> {
     /// Opens a connection with an empty result cache.
     pub fn new(db: &'db Database) -> Self {
         ResultConnection {
             db,
-            cache: RefCell::new(HashMap::new()),
+            cache: Mutex::new(HashMap::new()),
         }
+    }
+
+    /// The memo only ever gains whole entries, so a guard poisoned by a
+    /// panicking worker still holds a valid map.
+    fn memo(&self) -> MutexGuard<'_, HashMap<String, TaggedTuples>> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn tuples(&self, q: &Query) -> Result<TaggedTuples, DistanceError> {
         let key = q.to_string();
-        if let Some(hit) = self.cache.borrow().get(&key) {
-            return Ok(Rc::clone(hit));
+        if let Some(hit) = self.memo().get(&key).cloned() {
+            return Ok(hit);
         }
-        let tuples = Rc::new(tagged_result_tuples(self.db, q)?);
-        self.cache.borrow_mut().insert(key, Rc::clone(&tuples));
-        Ok(tuples)
+        let tuples = Arc::new(tagged_result_tuples(self.db, q)?);
+        Ok(Arc::clone(self.memo().entry(key).or_insert(tuples)))
     }
 
     /// Number of distinct queries executed (and memoized) so far.
     pub fn cached_queries(&self) -> usize {
-        self.cache.borrow().len()
+        self.memo().len()
     }
 }
 
@@ -115,36 +118,6 @@ impl QueryDistance for ResultConnection<'_> {
     /// change the values.
     fn is_metric(&self) -> bool {
         true
-    }
-}
-
-/// Opens one caching [`ResultConnection`] per parallel worker, so the
-/// expensive query-executing measure runs on the parallel matrix path
-/// (`DistanceMatrix::compute_parallel`) instead of being locked to the
-/// sequential one. Each worker owns its cache: a query is executed at most
-/// once per worker instead of once per pair.
-pub struct ResultDistanceFactory<'db> {
-    db: &'db Database,
-}
-
-impl<'db> ResultDistanceFactory<'db> {
-    /// Binds the factory to a database; each [`connect`] call opens a fresh
-    /// connection with its own cache over it.
-    ///
-    /// [`connect`]: QueryDistanceFactory::connect
-    pub fn new(db: &'db Database) -> Self {
-        ResultDistanceFactory { db }
-    }
-}
-
-impl QueryDistanceFactory for ResultDistanceFactory<'_> {
-    type Connection<'a>
-        = ResultConnection<'a>
-    where
-        Self: 'a;
-
-    fn connect(&self) -> ResultConnection<'_> {
-        ResultConnection::new(self.db)
     }
 }
 
@@ -282,10 +255,17 @@ mod tests {
         );
     }
 
+    /// One connection is shared by every parallel worker, so it must be
+    /// `Sync`.
+    const _: () = {
+        const fn sync<T: Sync>() {}
+        sync::<ResultConnection<'static>>()
+    };
+
     #[test]
     fn parallel_factory_matches_sequential_bitwise() {
         let db = db();
-        let queries: Vec<_> = (0..12)
+        let distinct: Vec<_> = (0..12)
             .map(|i| {
                 parse_query(&format!(
                     "SELECT objid FROM photoobj WHERE ra < {}",
@@ -294,15 +274,19 @@ mod tests {
                 .unwrap()
             })
             .collect();
+        // Repeats spread over every worker's rows: the shared memo must
+        // still hold each distinct query once.
+        let queries: Vec<_> = distinct.iter().chain(&distinct[..5]).cloned().collect();
         let seq = crate::DistanceMatrix::compute(&queries, &ResultDistance::new(&db)).unwrap();
         for threads in [1, 3, 8] {
-            let par = crate::DistanceMatrix::compute_parallel(
-                &queries,
-                &ResultDistanceFactory::new(&db),
-                threads,
-            )
-            .unwrap();
+            let conn = ResultConnection::new(&db);
+            let par = crate::DistanceMatrix::compute_parallel(&queries, &conn, threads).unwrap();
             assert!(seq.identical(&par), "threads = {threads}");
+            assert_eq!(
+                conn.cached_queries(),
+                distinct.len(),
+                "threads = {threads}: one memo entry per distinct query"
+            );
         }
     }
 

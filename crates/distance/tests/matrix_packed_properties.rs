@@ -3,9 +3,14 @@
 //! [`DistanceMatrix::compute_parallel`] at 1, 2 and 7 threads, a matrix
 //! grown by [`DistanceMatrix::extend`] from a random split, and one grown
 //! by [`DistanceMatrix::extend`] one query at a time — must produce
-//! **bit-identical** matrices, all packed to exactly `n(n−1)/2` cells.
+//! **bit-identical** matrices, all packed to exactly `n(n−1)/2` cells. A
+//! measure that fails on one random pair fails every path with its error,
+//! and a failed extend leaves the matrix as it was.
 
-use dpe_distance::{DistanceMatrix, StructureDistance, TokenDistance};
+use dpe_distance::{
+    DistanceError, DistanceMatrix, QueryDistance, StructureDistance, TokenDistance,
+};
+use dpe_sql::Query;
 use dpe_workload::{LogConfig, LogGenerator};
 use proptest::prelude::*;
 
@@ -15,6 +20,26 @@ fn log(seed: u64, n: usize) -> Vec<dpe_sql::Query> {
         seed,
         ..Default::default()
     })
+}
+
+/// Token distance, except on the one pair of renderings `a`, `b`.
+struct FailOnPair {
+    a: String,
+    b: String,
+}
+
+impl QueryDistance for FailOnPair {
+    fn distance(&self, x: &Query, y: &Query) -> Result<f64, DistanceError> {
+        let (x_text, y_text) = (x.to_string(), y.to_string());
+        if (x_text == self.a && y_text == self.b) || (x_text == self.b && y_text == self.a) {
+            return Err(DistanceError::MissingDomain("poisoned pair".into()));
+        }
+        TokenDistance.distance(x, y)
+    }
+
+    fn name(&self) -> &'static str {
+        "fail-on-pair"
+    }
 }
 
 proptest! {
@@ -61,5 +86,36 @@ proptest! {
         let mut extended = DistanceMatrix::compute(head, &StructureDistance).unwrap();
         extended.extend(head, tail, &StructureDistance).unwrap();
         prop_assert!(seq.identical(&extended));
+    }
+
+    #[test]
+    fn a_failing_pair_fails_every_path_and_extend_rolls_back(
+        seed in 0u64..10_000,
+        n in 2usize..20,
+        pick_j in 0usize..1_000,
+        pick_i in 0usize..1_000,
+        split_num in 0usize..100,
+    ) {
+        let queries = log(seed, n);
+        let j = 1 + pick_j % (queries.len() - 1);
+        let i = pick_i % j;
+        let measure = FailOnPair {
+            a: queries[i].to_string(),
+            b: queries[j].to_string(),
+        };
+        let poison = DistanceError::MissingDomain("poisoned pair".into());
+
+        for threads in [1usize, 2, 7] {
+            let err = DistanceMatrix::compute_parallel(&queries, &measure, threads).unwrap_err();
+            prop_assert_eq!(err, poison.clone(), "parallel({})", threads);
+        }
+
+        // Split before item j, so the poisoned pair is among the new ones.
+        let (head, tail) = queries.split_at(split_num * j / 100);
+        let mut m = DistanceMatrix::compute(head, &TokenDistance).unwrap();
+        let before = m.clone();
+        prop_assert_eq!(m.extend(head, tail, &measure).unwrap_err(), poison);
+        prop_assert!(m.identical(&before), "failed extend changed the matrix");
+        prop_assert_eq!(m.packed_len(), before.packed_len());
     }
 }

@@ -13,7 +13,10 @@
 //! Decoding is fully defensive: every length is bounds-checked against
 //! the remaining input and every tag must be a known variant, so a
 //! corrupted buffer yields [`DurabilityError::Codec`] — never a panic,
-//! never a silently different query.
+//! never a silently different query. A decoded query must also pass
+//! [`dpe_sql::check_lexes`], the canonical-form check the ingest door
+//! applies, so the log can never hand recovery a query no live server
+//! would have accepted.
 
 use crate::DurabilityError;
 use dpe_sql::{
@@ -433,7 +436,8 @@ pub fn write_query(w: &mut Writer, q: &Query) {
     }
 }
 
-/// Reads one query from the cursor (inverse of [`write_query`]).
+/// Reads one query from the cursor (inverse of [`write_query`]); a query
+/// whose rendering does not lex is a [`DurabilityError::Codec`] error.
 pub fn read_query(r: &mut Reader<'_>) -> Result<Query, DurabilityError> {
     let distinct = match r.u8("distinct flag")? {
         0 => false,
@@ -481,7 +485,7 @@ pub fn read_query(r: &mut Reader<'_>) -> Result<Query, DurabilityError> {
         1 => Some(r.u64("limit")?),
         t => return Err(bad_tag("limit flag", t)),
     };
-    Ok(Query {
+    let query = Query {
         distinct,
         select,
         from,
@@ -490,7 +494,12 @@ pub fn read_query(r: &mut Reader<'_>) -> Result<Query, DurabilityError> {
         group_by,
         order_by,
         limit,
-    })
+    };
+    // The ingest door admits only queries whose rendering lexes, so a
+    // decoded one that does not is damage, not data.
+    dpe_sql::check_lexes(&query)
+        .map_err(|e| DurabilityError::Codec(format!("decoded query does not lex: {e}")))?;
+    Ok(query)
 }
 
 /// Encodes a batch of queries (length prefix + each query).
@@ -546,14 +555,26 @@ mod tests {
     #[test]
     fn round_trips_ciphertext_identifiers_sql_text_cannot() {
         // Identifier spellings a DET scheme produces are not valid SQL
-        // identifiers — the structural codec must not care.
+        // identifiers — the structural codec must not care, as long as the
+        // rendering lexes (the one form the ingest door admits).
         let mut q = parse_query("SELECT a FROM t WHERE c = 'v'").unwrap();
-        q.from.name = "9f?— not an identifier \u{1F512}".into();
+        q.from.name = "9F3A not_an Identifier".into();
         match &mut q.select[0] {
             SelectItem::Column(c) => c.column = "0xDEAD BEEF".into(),
             _ => unreachable!(),
         }
         assert_eq!(round_trip(&q), q);
+
+        // A spelling whose rendering does not lex is damage: decoding
+        // refuses it.
+        q.from.name = "9f?— not an identifier \u{1F512}".into();
+        let mut w = Writer::new();
+        write_query(&mut w, &q);
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            read_query(&mut Reader::new(&bytes)),
+            Err(DurabilityError::Codec(ref s)) if s.contains("does not lex")
+        ));
     }
 
     #[test]

@@ -88,6 +88,9 @@ pub struct DurabilityStats {
     pub checkpoints: u64,
     /// Sequence number of the newest snapshot on disk, if any.
     pub last_snapshot: Option<u64>,
+    /// Shard logs whose torn tail this engine truncated when it opened
+    /// them.
+    pub torn_tails: u64,
 }
 
 const MANIFEST_VERSION: &str = "dpe-durability/v1";
@@ -471,6 +474,7 @@ impl Durability {
                 .last_snapshot
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner),
+            torn_tails: self.torn_tails.iter().filter(|&&torn| torn).count() as u64,
         }
     }
 }

@@ -41,9 +41,11 @@
 //!   an append) is *expected* damage: replay keeps every complete frame
 //!   and reports the tail via [`wal::WalReplay::torn_tail`]; reopening
 //!   for append truncates the torn bytes, and [`ShardRecovery::torn_tail`]
-//!   still reports that they were discarded.
+//!   still reports that they were discarded; [`DurabilityStats::torn_tails`]
+//!   counts the shard logs so truncated.
 //! * A **corrupt frame** (checksum mismatch on a *complete* frame, or a
-//!   checksum-valid frame that does not decode) is *unexpected* damage
+//!   checksum-valid frame that does not decode, including one holding a
+//!   query whose rendering does not lex) is *unexpected* damage
 //!   and surfaces as [`DurabilityError::CorruptRecord`] — never as a
 //!   silently wrong shard.
 //! * A **partial or corrupt snapshot** fails its whole-body checksum and

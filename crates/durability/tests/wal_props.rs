@@ -2,7 +2,8 @@
 //!
 //! 1. **Record round-trip** — encode ≡ decode over arbitrary ciphertext
 //!    batches, where "arbitrary" includes AST identifiers no SQL parser
-//!    would accept (DET/token ciphertext spellings).
+//!    would accept (DET/token ciphertext spellings); a query whose
+//!    rendering does not lex is a typed error instead.
 //! 2. **Truncated-tail recovery** — *every* byte prefix of a valid log
 //!    replays to a prefix of the records with a valid epoch chain.
 //! 3. **Checksum-flip rejection** — flipping any single byte of a small
@@ -19,16 +20,30 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Identifier alphabet skewed toward ciphertext-looking spellings:
-/// hex blobs, punctuation, spaces, non-ASCII — nothing a parser accepts.
-const IDENT_CHARS: &[char] = &[
-    'a', 'Z', '3', 'f', '0', '9', '_', '-', '=', '/', '+', ' ', '\'', '"', '.', 'π', '🔒', '\n',
-];
+/// Identifier alphabet skewed toward ciphertext-looking spellings: hex
+/// blobs, uppercase, operators, spaces, newlines — nothing a parser
+/// accepts, yet every rendering still lexes, the one form the ingest door
+/// admits and the codec decodes.
+const IDENT_CHARS: &[char] = &['a', 'Z', '3', 'f', '0', '9', '_', '=', ' ', '\n'];
+
+/// First and last characters: a letter on both ends keeps `t.c` from
+/// lexing as a float literal such as `3.9`.
+const IDENT_ENDS: &[char] = &['a', 'Z', 'f', '_'];
+
+/// Characters the lexer rejects anywhere outside a string literal.
+const UNLEXABLE_CHARS: &[char] = &['/', '+', '"', 'π', '🔒'];
 
 fn ident(rng: &mut StdRng) -> String {
     let len = rng.gen_range(1usize..10);
     (0..len)
-        .map(|_| IDENT_CHARS[rng.gen_range(0usize..IDENT_CHARS.len())])
+        .map(|i| {
+            let chars = if i == 0 || i == len - 1 {
+                IDENT_ENDS
+            } else {
+                IDENT_CHARS
+            };
+            chars[rng.gen_range(0usize..chars.len())]
+        })
         .collect()
 }
 
@@ -145,7 +160,8 @@ fn query(rng: &mut StdRng) -> Query {
             })
             .collect(),
         limit: if rng.gen_range(0u8..2) == 1 {
-            Some(rng.gen::<u64>())
+            // The lexer reads integers as i64, so LIMIT stops at i64::MAX.
+            Some(rng.gen::<u64>() >> 1)
         } else {
             None
         },
@@ -194,6 +210,29 @@ proptest! {
         let replay = replay.unwrap();
         prop_assert_eq!(&replay.records, &records);
         prop_assert!(!replay.torn_tail);
+    }
+
+    #[test]
+    fn unlexable_query_is_a_corrupt_record(
+        records in ArbitraryLog { max_records: 3 },
+        pick in 0usize..1_000,
+        bad in 0usize..1_000,
+    ) {
+        // Poison one query's table name with a character the lexer
+        // rejects: the frame is checksum-valid, yet replay refuses it.
+        let mut records = records;
+        let with_queries: Vec<usize> =
+            (0..records.len()).filter(|&i| !records[i].queries.is_empty()).collect();
+        prop_assume!(!with_queries.is_empty());
+        let record = &mut records[with_queries[pick % with_queries.len()]];
+        let q = pick % record.queries.len();
+        record.queries[q].from.name.push(UNLEXABLE_CHARS[bad % UNLEXABLE_CHARS.len()]);
+        let replay = read_wal(&image_of(&records), 0);
+        prop_assert!(
+            matches!(&replay, Err(DurabilityError::CorruptRecord { detail, .. })
+                if detail.contains("does not lex")),
+            "{:?}", replay.map(|r| r.records.len())
+        );
     }
 
     #[test]

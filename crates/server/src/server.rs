@@ -463,13 +463,9 @@ impl<M: QueryDistance + Sync> Server<M> {
     pub fn ingest(&self, shard: usize, new: &[Query]) -> Result<(), ServerError> {
         let slot = self.slot(shard)?;
         for (i, q) in new.iter().enumerate() {
-            // The AST walk accepts nearly every query; lex only when it
-            // gives up.
-            if dpe_sql::query_tokens(q).is_none() {
-                dpe_sql::token::lex(&q.to_string()).map_err(|e| {
-                    ServerError::BadRequest(format!("ingest: query {i} does not lex: {e}"))
-                })?;
-            }
+            dpe_sql::check_lexes(q).map_err(|e| {
+                ServerError::BadRequest(format!("ingest: query {i} does not lex: {e}"))
+            })?;
         }
         let log = |epoch| match &self.durability {
             Some(d) => d.log_ingest(shard, epoch, new),

@@ -21,16 +21,18 @@
 //!    server recovered from its directory, serve like an oracle that
 //!    never saw that batch, and later ingests succeed;
 //! 4. damaged state — torn WAL magic, flipped snapshot byte, flipped
-//!    frame byte — surfaces as a typed [`ServerError::Durability`],
-//!    never as a garbage shard.
+//!    frame byte, a logged or snapshotted query whose rendering does not
+//!    lex — surfaces as a typed [`ServerError::Durability`], never as a
+//!    garbage shard; a discarded torn WAL tail is counted in the
+//!    server's durability stats.
 //!
 //! When `DPE_RECOVERY_CORPUS` is set, every sweep case's WAL image is
 //! copied there before recovery is attempted, so a failing CI run
 //! uploads the exact bytes that broke recovery as its fuzz corpus.
 
-use dpe_distance::TokenDistance;
+use dpe_distance::{DistanceMatrix, TokenDistance};
 use dpe_durability::testkit::{ErrorFs, FailpointFs, Fault};
-use dpe_durability::{Durability, DurabilityError};
+use dpe_durability::{Durability, DurabilityError, ShardStateRef};
 use dpe_mining::Linkage;
 use dpe_server::{
     dist_literal, ClusterRule, PlanOp, Projection, Request, Response, Server, ServerError, SqlTable,
@@ -640,6 +642,103 @@ fn corrupt_snapshot_is_a_typed_error() {
         matches!(
             &err,
             ServerError::Durability(DurabilityError::CorruptSnapshot { .. })
+        ),
+        "{err:?}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A torn WAL tail that opening the log truncated shows up in
+/// `Server::stats().durability.torn_tails`; a clean log counts none.
+#[test]
+fn truncated_torn_tail_is_counted_in_stats() {
+    let dir = tmp("torn-stats");
+    let s = Server::builder(TokenDistance)
+        .shards(2)
+        .durability(&dir)
+        .build();
+    s.ingest(0, &batch(1, 3)).unwrap();
+    s.ingest(0, &batch(2, 2)).unwrap();
+    s.ingest(1, &batch(3, 2)).unwrap();
+    assert_eq!(s.stats().durability.unwrap().torn_tails, 0);
+    drop(s);
+    let wal = dir.join("wal").join("shard-0.wal");
+    let bytes = std::fs::read(&wal).unwrap();
+    std::fs::write(&wal, &bytes[..bytes.len() - 3]).unwrap();
+
+    let torn = Server::builder(TokenDistance)
+        .durability(&dir)
+        .recover()
+        .unwrap();
+    assert_eq!(
+        torn.shard_epoch(0).unwrap(),
+        1,
+        "the torn record is dropped"
+    );
+    assert_eq!(torn.stats().durability.unwrap().torn_tails, 1);
+    drop(torn);
+
+    let clean = Server::builder(TokenDistance)
+        .durability(&dir)
+        .recover()
+        .unwrap();
+    assert_eq!(clean.stats().durability.unwrap().torn_tails, 0);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A query the ingest door refuses: its `LIMIT` renders above `i64::MAX`,
+/// so the rendering does not lex.
+fn unlexable_query() -> Query {
+    let mut q = batch(1, 1).remove(0);
+    q.limit = Some(u64::MAX);
+    q
+}
+
+/// A WAL record holding a query whose rendering does not lex, logged
+/// around the ingest door, is a corrupt record on recovery.
+#[test]
+fn logged_unlexable_query_is_a_corrupt_record() {
+    let dir = tmp("unlexable-wal");
+    let engine = Durability::create(&dir, 1).unwrap();
+    engine.log_ingest(0, 1, &[unlexable_query()]).unwrap();
+    drop(engine);
+    let err = Server::builder(TokenDistance)
+        .durability(&dir)
+        .recover()
+        .unwrap_err();
+    assert!(
+        matches!(
+            &err,
+            ServerError::Durability(DurabilityError::CorruptRecord { shard: 0, detail, .. })
+                if detail.contains("does not lex")
+        ),
+        "{err:?}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The same query in a snapshot is a corrupt snapshot on recovery.
+#[test]
+fn snapshotted_unlexable_query_is_a_corrupt_snapshot() {
+    let dir = tmp("unlexable-snap");
+    let engine = Durability::create(&dir, 1).unwrap();
+    engine
+        .checkpoint(&[ShardStateRef {
+            epoch: 1,
+            queries: &[unlexable_query()],
+            matrix: &DistanceMatrix::from_fn(1, |_, _| 0.0),
+        }])
+        .unwrap();
+    drop(engine);
+    let err = Server::builder(TokenDistance)
+        .durability(&dir)
+        .recover()
+        .unwrap_err();
+    assert!(
+        matches!(
+            &err,
+            ServerError::Durability(DurabilityError::CorruptSnapshot { detail, .. })
+                if detail.contains("does not lex")
         ),
         "{err:?}"
     );

@@ -89,6 +89,19 @@ pub fn token_set(query: &Query) -> Result<TokenSet, SqlError> {
     }
 }
 
+/// The canonical-form check every door applies to a query it accepts:
+/// `Ok` when `query.to_string()` lexes, else the lexer's error. The parser
+/// never builds a query that fails it, but a hand-built or decoded AST can
+/// (`LIMIT` above `i64::MAX`, an identifier such as `a-b`), and such a
+/// query has no token set. The AST walk settles nearly every query; the
+/// rendering is lexed only when the walk gives up.
+pub fn check_lexes(query: &Query) -> Result<(), SqlError> {
+    match query_tokens(query) {
+        Some(_) => Ok(()),
+        None => lex(&query.to_string()).map(drop),
+    }
+}
+
 /// Computes the token set of raw SQL text (used to tokenize *encrypted*
 /// queries, whose identifiers are hex strings). Applied to `q.to_string()`
 /// it is the definition of `tokens(q)`.
