@@ -496,9 +496,14 @@ pub fn read_query(r: &mut Reader<'_>) -> Result<Query, DurabilityError> {
         limit,
     };
     // The ingest door admits only queries whose rendering lexes, so a
-    // decoded one that does not is damage, not data.
-    dpe_sql::check_lexes(&query)
-        .map_err(|e| DurabilityError::Codec(format!("decoded query does not lex: {e}")))?;
+    // decoded one that does not is damage, or a log written before that
+    // door existed (a lone such query could then enter an empty shard).
+    dpe_sql::check_lexes(&query).map_err(|e| {
+        DurabilityError::Codec(format!(
+            "decoded query does not lex (damage, or a query logged before the \
+             ingest door checked lexing): {e}"
+        ))
+    })?;
     Ok(query)
 }
 
@@ -557,7 +562,9 @@ mod tests {
         // Identifier spellings a DET scheme produces are not valid SQL
         // identifiers — the structural codec must not care, as long as the
         // rendering lexes (the one form the ingest door admits).
-        let mut q = parse_query("SELECT a FROM t WHERE c = 'v'").unwrap();
+        // String constants keep any UTF-8: the `'v'` literal carries
+        // non-ASCII text and a quote through the round trip.
+        let mut q = parse_query("SELECT a FROM t WHERE c = '9f?— it''s \u{1F512}'").unwrap();
         q.from.name = "9F3A not_an Identifier".into();
         match &mut q.select[0] {
             SelectItem::Column(c) => c.column = "0xDEAD BEEF".into(),

@@ -47,7 +47,9 @@
 //!   checksum-valid frame that does not decode, including one holding a
 //!   query whose rendering does not lex) is *unexpected* damage
 //!   and surfaces as [`DurabilityError::CorruptRecord`] — never as a
-//!   silently wrong shard.
+//!   silently wrong shard. Such a query can also be legacy data: before
+//!   the ingest door checked lexing, a lone one could be ingested into an
+//!   empty shard and logged, and a log holding it no longer recovers.
 //! * A **partial or corrupt snapshot** fails its whole-body checksum and
 //!   surfaces as [`DurabilityError::CorruptSnapshot`]; snapshots are
 //!   written to a temp file and atomically renamed, so the newest

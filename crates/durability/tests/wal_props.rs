@@ -33,6 +33,13 @@ const IDENT_ENDS: &[char] = &['a', 'Z', 'f', '_'];
 /// Characters the lexer rejects anywhere outside a string literal.
 const UNLEXABLE_CHARS: &[char] = &['/', '+', '"', 'π', '🔒'];
 
+/// String-constant alphabet: the full ciphertext-looking range, non-ASCII
+/// and quotes included. A string literal renders quoted with `''`
+/// escapes, so all of these still lex there.
+const STR_CHARS: &[char] = &[
+    'a', 'Z', '3', 'f', '0', '9', '_', '-', '=', '/', '+', ' ', '\'', '"', '.', 'π', '🔒', '\n',
+];
+
 fn ident(rng: &mut StdRng) -> String {
     let len = rng.gen_range(1usize..10);
     (0..len)
@@ -47,10 +54,17 @@ fn ident(rng: &mut StdRng) -> String {
         .collect()
 }
 
+fn string(rng: &mut StdRng) -> String {
+    let len = rng.gen_range(1usize..10);
+    (0..len)
+        .map(|_| STR_CHARS[rng.gen_range(0usize..STR_CHARS.len())])
+        .collect()
+}
+
 fn literal(rng: &mut StdRng) -> Literal {
     match rng.gen_range(0u8..3) {
         0 => Literal::Int(rng.gen::<i64>()),
-        1 => Literal::Str(ident(rng)),
+        1 => Literal::Str(string(rng)),
         _ => Literal::Null,
     }
 }
