@@ -12,7 +12,7 @@
 //! answers equal the linear scan's (same NaN-last, index-tie-break order).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dpe_distance::{DistanceError, DistanceSource, VpTree};
+use dpe_distance::{nan_last_cmp, DistanceError, DistanceSource, VpTree};
 
 /// Synthetic 2-D Euclidean points evaluated on demand — a stand-in for a
 /// query log too large to materialize a packed matrix over. Deterministic
@@ -62,16 +62,8 @@ impl DistanceSource for PointSource {
 /// scan over the source — the O(n)-per-query baseline the tree must beat.
 fn scan_knn(source: &PointSource, item: usize, k: usize) -> Vec<usize> {
     let mut others: Vec<usize> = (0..source.len()).filter(|&j| j != item).collect();
-    let cmp = |&a: &usize, &b: &usize| {
-        let (da, db) = (
-            source.distance(item, a).unwrap(),
-            source.distance(item, b).unwrap(),
-        );
-        da.is_nan()
-            .cmp(&db.is_nan())
-            .then_with(|| da.total_cmp(&db))
-            .then(a.cmp(&b))
-    };
+    let d = |j: usize| source.distance(item, j).unwrap();
+    let cmp = |&a: &usize, &b: &usize| nan_last_cmp(d(a), d(b)).then(a.cmp(&b));
     if k < others.len() && k > 0 {
         others.select_nth_unstable_by(k - 1, cmp);
         others.truncate(k);

@@ -36,7 +36,6 @@ pub use vptree::VpTree;
 use crate::matrix::DistanceMatrix;
 use crate::measure::{DistanceError, QueryDistance};
 use dpe_sql::Query;
-use std::cmp::Ordering;
 
 /// Where an index reads pairwise distances from. `distance(i, j)` must be
 /// symmetric with `distance(i, i) == 0`; implementations over fallible
@@ -115,16 +114,8 @@ pub struct QueryCounters {
     pub pruned: u64,
 }
 
-/// Total ascending order with every NaN after every number — the ordering
-/// the matrix-path kNN sorts by, reproduced here so index answers are
-/// bit-identical.
-#[inline]
-pub(crate) fn nan_last_cmp(a: f64, b: f64) -> Ordering {
-    a.is_nan().cmp(&b.is_nan()).then_with(|| a.total_cmp(&b))
-}
-
-/// SplitMix64 — the deterministic bit mixer behind pivot choice and the
-/// MinHash family (no RNG state to seed, no `rand` dependency).
+/// SplitMix64 — the deterministic bit mixer behind pivot choice (no RNG
+/// state to seed, no `rand` dependency).
 #[inline]
 pub(crate) fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);

@@ -23,19 +23,19 @@
 //! that are `false` on NaN, so a NaN anchor–pivot distance visits both
 //! children, and a node whose build-time partition saw any NaN pivot
 //! distance stores `mu = NaN`, making it permanently unprunable. An item
-//! whose distance to the anchor is NaN sorts after every number (matching
-//! [`dpe_mining`-style NaN-last ordering]) and never qualifies for a range,
-//! so pruning it early is always consistent with the matrix answer.
+//! whose distance to the anchor is NaN sorts after every number (the
+//! [NaN-last neighbour order]) and never qualifies for a range, so pruning
+//! it early is always consistent with the matrix answer.
 //!
 //! **Streaming inserts** append to an overflow list scanned linearly by
 //! every query (zero distance calls at insert time); once the overflow
 //! outgrows half the built tree the index rebuilds, which keeps the
 //! amortized maintenance cost at O(log n) distance calls per inserted item.
 //!
-//! [`dpe_mining`-style NaN-last ordering]: super::nan_last_cmp
+//! [NaN-last neighbour order]: crate::nan_last_cmp
 
-use super::{nan_last_cmp, splitmix64, DistanceSource, QueryCounters};
-use crate::measure::DistanceError;
+use super::{splitmix64, DistanceSource, QueryCounters};
+use crate::{measure::DistanceError, nan_last_cmp};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 

@@ -28,7 +28,8 @@
 //! **bit-identically** to the matrix paths while triangle-inequality
 //! pruning skips most distance evaluations. It reads distances through
 //! [`index::DistanceSource`] — a packed matrix or on-demand measure calls —
-//! so it serves stores the matrix could never materialize.
+//! so it serves stores the matrix could never materialize. Every
+//! neighbour ranking orders by [`order::nan_last_cmp`], then item index.
 //!
 //! All distances are **exact** rational computations rendered into `f64`
 //! as a final step: numerator and denominator are set cardinalities, so
@@ -42,6 +43,7 @@ pub mod index;
 pub mod jaccard;
 pub mod matrix;
 pub mod measure;
+pub mod order;
 pub mod result_distance;
 pub mod structure_distance;
 pub mod token_distance;
@@ -51,6 +53,7 @@ pub use index::{DistanceSource, MatrixSource, MeasureSource, QueryCounters, VpTr
 pub use jaccard::jaccard_distance;
 pub use matrix::DistanceMatrix;
 pub use measure::{DistanceError, QueryDistance};
+pub use order::nan_last_cmp;
 pub use result_distance::{ResultConnection, ResultDistance};
 pub use structure_distance::StructureDistance;
 pub use token_distance::TokenDistance;

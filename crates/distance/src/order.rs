@@ -1,4 +1,4 @@
-//! Total float orderings for mining-internal sorts.
+//! The one total float order behind every neighbour ranking.
 
 use std::cmp::Ordering;
 
@@ -8,9 +8,11 @@ use std::cmp::Ordering;
 /// *before* −∞, and runtime 0.0/0.0 produces negative NaN on x86-64 — so a
 /// degenerate measure's NaN would rank as the *nearest* neighbour. Keying
 /// on `is_nan()` first sends either NaN sign to the far end, which is the
-/// "maximally distant / worst score" reading every algorithm here wants.
+/// "maximally distant / worst score" reading every algorithm wants.
+/// Then broken on item index, it is the one neighbour order the VP-tree,
+/// `dpe-mining` and the server executor all rank by.
 #[inline]
-pub(crate) fn nan_last_cmp(a: f64, b: f64) -> Ordering {
+pub fn nan_last_cmp(a: f64, b: f64) -> Ordering {
     a.is_nan().cmp(&b.is_nan()).then_with(|| a.total_cmp(&b))
 }
 

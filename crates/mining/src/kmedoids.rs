@@ -1,7 +1,6 @@
 //! K-medoids clustering (PAM-style alternation, Park & Jun \[5\]).
 
-use crate::order::nan_last_cmp;
-use dpe_distance::DistanceMatrix;
+use dpe_distance::{nan_last_cmp, DistanceMatrix};
 
 /// Result of a k-medoids run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,27 +77,18 @@ pub fn kmedoids(matrix: &DistanceMatrix, k: usize) -> KMedoidsResult {
             if members.is_empty() {
                 continue;
             }
-            // nan_last_cmp: a NaN cost loses to every finite cost, and if
-            // *every* cost is NaN the lowest-index member still wins — the
-            // usize::MAX sentinel must never escape as a "medoid". The
-            // explicit Equal arm pins the tie-break to the lowest item
-            // index whatever order `members` is visited in: cost ties are
-            // common on symmetric stores, and an order-dependent winner
-            // would make equal matrices disagree on medoid identity —
-            // unsound for fingerprint-keyed response caching.
-            let mut best = (f64::INFINITY, usize::MAX);
-            for &candidate in &members {
-                let cost: f64 = members.iter().map(|&m| matrix.get(candidate, m)).sum();
-                let better = best.1 == usize::MAX
-                    || match nan_last_cmp(cost, best.0) {
-                        std::cmp::Ordering::Less => true,
-                        std::cmp::Ordering::Equal => candidate < best.1,
-                        std::cmp::Ordering::Greater => false,
-                    };
-                if better {
-                    best = (cost, candidate);
-                }
-            }
+            // The least cost under nan_last_cmp, ties to the lowest item
+            // index: a NaN cost loses to every finite cost, and the winner
+            // does not depend on the order `members` is visited in. Cost
+            // ties are common on symmetric stores, and an order-dependent
+            // winner would make equal matrices disagree on medoid identity
+            // — unsound for fingerprint-keyed response caching.
+            let cost = |c: usize| -> f64 { members.iter().map(|&m| matrix.get(c, m)).sum() };
+            let best = members
+                .iter()
+                .map(|&c| (cost(c), c))
+                .min_by(|a, b| nan_last_cmp(a.0, b.0).then(a.1.cmp(&b.1)))
+                .expect("a non-empty cluster has a cheapest member");
             *slot = best.1;
         }
         new_medoids.sort_unstable();

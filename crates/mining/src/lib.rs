@@ -13,9 +13,9 @@
 //! * [`outliers`] — Knorr–Ng DB(p, D) distance-based outliers \[6\];
 //! * [`mod@lof`] — Local Outlier Factor (Breunig et al.), the density-based
 //!   outlier score;
-//! * [`knn`] — k-nearest-neighbour queries;
+//! * [`knn`] — k-nearest-neighbour queries ([`knn_among`] over any subset);
 //! * [`range`] — ε-neighbourhood range queries (DBSCAN's region query as a
-//!   standalone serving primitive);
+//!   standalone serving primitive; [`range_among`] over any subset);
 //! * [`apriori`] — frequent itemsets and association rules (the encrypted
 //!   OLAP-log use case of the paper's reference \[17\]);
 //! * [`agreement`] — Rand index / adjusted Rand index to quantify
@@ -26,11 +26,12 @@
 //!
 //! Algorithms are deterministic: ties break on the lower index, k-medoids
 //! seeds with a deterministic greedy (no RNG), so equal distance matrices
-//! imply equal outputs — no flaky "identical" assertions.
+//! imply equal outputs — no flaky "identical" assertions. One routine,
+//! [`knn_among`], ranks rows in the one neighbour order (distance NaN-last
+//! by [`dpe_distance::nan_last_cmp`], then index); each LOF row is
+//! `knn_among(matrix, i, n − 1, 0..n)`.
 
 #![forbid(unsafe_code)]
-
-mod order;
 
 pub mod agreement;
 pub mod apriori;
@@ -50,8 +51,8 @@ pub use hierarchical::{
     agglomerative, average_link, complete_link, single_link, Dendrogram, Linkage, Merge,
 };
 pub use kmedoids::{kmedoids, KMedoidsResult};
-pub use knn::knn_indices;
+pub use knn::{knn_among, knn_indices};
 pub use labels::{canonical_dbscan_labels, canonical_labels, NOISE};
 pub use lof::{lof, lof_outliers, LofConfig};
 pub use outliers::{db_outliers, OutlierConfig};
-pub use range::range_indices;
+pub use range::{range_among, range_indices};

@@ -19,8 +19,9 @@
 //! locally sparse. Duplicate-heavy data can make `lrd` infinite; ∞/∞
 //! ratios are taken as 1, following the reference implementation folklore.
 
-use crate::order::nan_last_cmp;
-use dpe_distance::DistanceMatrix;
+use crate::knn::knn_among;
+use crate::range::range_among;
+use dpe_distance::{nan_last_cmp, DistanceMatrix};
 
 /// Configuration for [`lof`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,18 +53,13 @@ pub fn lof(matrix: &DistanceMatrix, config: LofConfig) -> Vec<f64> {
     let mut kdist = vec![0.0f64; n];
     let mut neigh: Vec<Vec<usize>> = Vec::with_capacity(n);
     for (i, kd_slot) in kdist.iter_mut().enumerate() {
-        let mut others: Vec<usize> = (0..n).filter(|&j| j != i).collect();
-        // A NaN distance sorts last (either sign) instead of panicking, so
-        // it never lands inside the k-neighbourhood spuriously.
-        others.sort_by(|&a, &b| nan_last_cmp(matrix.get(i, a), matrix.get(i, b)).then(a.cmp(&b)));
+        // The whole row in neighbour order: a NaN distance (either sign)
+        // sorts last, so it never lands in the k-neighbourhood spuriously.
+        let others = knn_among(matrix, i, n - 1, 0..n);
         let kd = matrix.get(i, others[k - 1]);
         *kd_slot = kd;
         // All points within the k-distance — ties beyond index k included.
-        let members: Vec<usize> = others
-            .into_iter()
-            .filter(|&j| matrix.get(i, j) <= kd)
-            .collect();
-        neigh.push(members);
+        neigh.push(range_among(matrix, i, kd, others));
     }
 
     // Local reachability density.

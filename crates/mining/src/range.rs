@@ -10,11 +10,24 @@ use dpe_distance::DistanceMatrix;
 /// All items within `radius` of item `i` (excluding `i` itself), in
 /// ascending index order. The boundary is inclusive (`d ≤ radius`), matching
 /// DBSCAN's ε-neighbourhood convention; a NaN distance from a degenerate
-/// measure never qualifies.
+/// measure never qualifies. The whole-shard case of [`range_among`].
 pub fn range_indices(matrix: &DistanceMatrix, i: usize, radius: f64) -> Vec<usize> {
+    range_among(matrix, i, radius, 0..matrix.len())
+}
+
+/// The `candidates` within `radius` of item `i` (`i` itself excluded), in
+/// candidate order, under the same inclusive, NaN-never boundary as
+/// [`range_indices`].
+pub fn range_among(
+    matrix: &DistanceMatrix,
+    i: usize,
+    radius: f64,
+    candidates: impl IntoIterator<Item = usize>,
+) -> Vec<usize> {
     let n = matrix.len();
     assert!(i < n, "query index {i} out of bounds (n={n})");
-    (0..n)
+    candidates
+        .into_iter()
         .filter(|&j| j != i && matrix.get(i, j) <= radius)
         .collect()
 }

@@ -5,12 +5,15 @@
 //! linkage (all three rules are reducible, so the naive global-min
 //! agglomeration can never invert), dendrograms must round-trip through
 //! their canonical byte serialization, and DBSCAN labels must satisfy the
-//! core/noise invariants in canonical wire form.
+//! core/noise invariants in canonical wire form. The selection-aware
+//! neighbour queries (`knn_among`, `range_among`) must equal a naive full
+//! sort / filter on random, tie-heavy and NaN matrices, over random
+//! candidate subsets in random order.
 
-use dpe_distance::DistanceMatrix;
+use dpe_distance::{nan_last_cmp, DistanceMatrix};
 use dpe_mining::{
-    agglomerative, canonical_dbscan_labels, canonical_labels, dbscan, DbscanConfig, DbscanLabel,
-    Dendrogram, Linkage, NOISE,
+    agglomerative, canonical_dbscan_labels, canonical_labels, dbscan, knn_among, range_among,
+    DbscanConfig, DbscanLabel, Dendrogram, Linkage, NOISE,
 };
 use proptest::prelude::*;
 
@@ -27,6 +30,23 @@ fn matrix(n: usize, cells: &[u64]) -> DistanceMatrix {
         }
         let (lo, hi) = (i.min(j), i.max(j));
         (cells[hi * (hi - 1) / 2 + lo] % 1000) as f64 / 1000.0
+    })
+}
+
+/// Like [`matrix`], but `kind` picks fine-grid cells (0), heavy ties on a
+/// quarter grid (1), or quarter-grid cells with NaNs of both signs (2).
+fn neighbour_matrix(n: usize, cells: &[u64], kind: u8) -> DistanceMatrix {
+    DistanceMatrix::from_fn(n, |i, j| {
+        if i == j {
+            return 0.0;
+        }
+        let c = cells[i.max(j) * (i.max(j) - 1) / 2 + i.min(j)];
+        match (kind, c % 7) {
+            (0, _) => (c % 1000) as f64 / 1000.0,
+            (2, 0) => f64::NAN,
+            (2, 1) => -f64::NAN,
+            _ => (c % 4) as f64 / 4.0,
+        }
     })
 }
 
@@ -163,5 +183,35 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(canon, direct);
+    }
+
+    #[test]
+    fn knn_and_range_among_match_a_naive_reference(
+        n in 2usize..=MAX_N,
+        cells in proptest::collection::vec(0u64..1_000_000, MAX_CELLS..MAX_CELLS + 1),
+        kind in 0u8..3,
+        // Per item: whether it is a candidate, and its sort key in the
+        // candidate order.
+        picks in proptest::collection::vec((0u8..3, 0u64..1_000_000), MAX_N..MAX_N + 1),
+        radius_grid in 0u64..1_200,
+    ) {
+        let m = neighbour_matrix(n, &cells, kind);
+        let mut candidates: Vec<usize> = (0..n).filter(|&j| picks[j].0 != 0).collect();
+        candidates.sort_by_key(|&j| (picks[j].1, j));
+        let radius = radius_grid as f64 / 1000.0;
+        for i in 0..n {
+            let mut sorted: Vec<usize> = candidates.iter().copied().filter(|&j| j != i).collect();
+            sorted.sort_by(|&a, &b| nan_last_cmp(m.get(i, a), m.get(i, b)).then(a.cmp(&b)));
+            for k in 0..=n {
+                let got = knn_among(&m, i, k, candidates.iter().copied());
+                prop_assert_eq!(got, sorted[..k.min(sorted.len())].to_vec(), "i={} k={}", i, k);
+            }
+            let within: Vec<usize> = candidates
+                .iter()
+                .copied()
+                .filter(|&j| j != i && m.get(i, j) <= radius)
+                .collect();
+            prop_assert_eq!(range_among(&m, i, radius, candidates.iter().copied()), within);
+        }
     }
 }

@@ -8,6 +8,11 @@
 //! over the entire matrix and project onto the selection, which is what
 //! makes a compound pipeline bit-identical to the equivalent sequence of
 //! single-shot requests (the `pipeline_differential` suite pins this).
+//!
+//! Narrowing ops hand the frame **item ids**, never positions: `Knn` and
+//! `Outliers` keep their algorithm's order, `FilterRange` the selection
+//! order, and `Limit` truncates. So the VP-tree can serve `Knn` and
+//! `FilterRange` whenever the selection holds all `n` items, in any order.
 
 use super::metrics::ExecutionMetrics;
 use super::plan::{ClusterRule, OutlierRule, PhysicalPlan, PlanOp, Projection};
@@ -15,20 +20,11 @@ use crate::plan::PlanCache;
 use crate::request::{Response, ServerError};
 use crate::shard::Shard;
 use dpe_mining::{
-    agglomerative, canonical_dbscan_labels, db_outliers, dbscan, frequent_itemsets, kmedoids, lof,
-    lof_outliers, DbscanConfig, LofConfig, OutlierConfig,
+    agglomerative, canonical_dbscan_labels, db_outliers, dbscan, frequent_itemsets, kmedoids,
+    knn_among, lof, lof_outliers, range_among, DbscanConfig, LofConfig, OutlierConfig,
 };
-use std::cmp::Ordering;
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// Total ascending order with every NaN after every number — the same
-/// ordering [`dpe_mining::knn_indices`] sorts by, so a `Knn` op over the
-/// full scan reproduces it bit-identically.
-#[inline]
-fn nan_last_cmp(a: f64, b: f64) -> Ordering {
-    a.is_nan().cmp(&b.is_nan()).then_with(|| a.total_cmp(&b))
-}
 
 /// Inter-operator state: the ordered selection plus payloads aligned to it.
 /// `medoids` and `itemsets` are whole-shard artefacts (validation confines
@@ -43,9 +39,19 @@ struct Frame {
 }
 
 impl Frame {
-    /// Reorders the selection (and aligned payloads) to `positions`, each a
-    /// position into the *current* selection.
-    fn take_positions(&mut self, positions: &[usize]) {
+    /// Narrows the selection to the selected ones of `items` (ids below
+    /// `n`), in `items`' order; each aligned payload entry follows its item
+    /// through a position map.
+    fn narrow(&mut self, n: usize, items: impl IntoIterator<Item = usize>) {
+        let mut position_of = vec![usize::MAX; n];
+        for (p, &i) in self.selection.iter().enumerate() {
+            position_of[i] = p;
+        }
+        let positions: Vec<usize> = items
+            .into_iter()
+            .map(|i| position_of[i])
+            .filter(|&p| p != usize::MAX)
+            .collect();
         self.selection = positions.iter().map(|&p| self.selection[p]).collect();
         if let Some(s) = &mut self.scores {
             *s = positions.iter().map(|&p| s[p]).collect();
@@ -89,65 +95,49 @@ pub(crate) fn execute(
                 metrics.rows_scanned += n as u64;
             }
             PlanOp::FilterRange { item, radius } => {
-                // Index path, taken when the selection is still the full
-                // scan (position p holds item p, so the index's hit list
-                // doubles as the position list): the VP-tree's hit set is
-                // exactly the matrix predicate's — both read the same
-                // packed cells, the tree just skips reading most of them.
-                // A diluted selection reads fewer cells than the whole
-                // index walk would, so it stays on the matrix path.
-                let index = shard.index().filter(|_| frame.selection.len() == n);
-                if let Some(index) = index {
-                    debug_assert_eq!(index.len(), n, "index out of lockstep with matrix");
-                    let (hits, counters) = index.range(matrix, *item, *radius);
-                    metrics.distance_cells += counters.computed;
-                    metrics.pruned_cells += counters.pruned;
-                    frame.take_positions(&hits);
-                } else {
-                    metrics.distance_cells += frame.selection.len() as u64;
-                    let keep: Vec<usize> = (0..frame.selection.len())
-                        .filter(|&p| {
-                            let j = frame.selection[p];
-                            j != *item && matrix.get(*item, j) <= *radius
-                        })
-                        .collect();
-                    frame.take_positions(&keep);
-                }
+                // Index path whenever the selection holds all n items: the
+                // VP-tree's hit set is exactly the matrix predicate's (both
+                // read the same packed cells, the tree just skips most of
+                // them). A diluted selection reads fewer cells than the
+                // whole index walk would, so it stays on the matrix path.
+                let hits = match shard.index().filter(|_| frame.selection.len() == n) {
+                    Some(index) => {
+                        debug_assert_eq!(index.len(), n, "index out of lockstep with matrix");
+                        let (hits, counters) = index.range(matrix, *item, *radius);
+                        metrics.distance_cells += counters.computed;
+                        metrics.pruned_cells += counters.pruned;
+                        // Back into selection order: the tree lists hits by id.
+                        let mut hit = vec![false; n];
+                        hits.into_iter().for_each(|h| hit[h] = true);
+                        let mut kept = frame.selection.clone();
+                        kept.retain(|&j| hit[j]);
+                        kept
+                    }
+                    None => {
+                        metrics.distance_cells += frame.selection.len() as u64;
+                        range_among(matrix, *item, *radius, frame.selection.iter().copied())
+                    }
+                };
+                frame.narrow(n, hits);
             }
             PlanOp::Knn { item, k } => {
-                // Same full-scan gate as FilterRange: the tree's bounded
-                // worst-first heap reproduces the matrix comparator
-                // (NaN-last distance, then index) bit-identically.
-                let index = shard.index().filter(|_| frame.selection.len() == n);
-                if let Some(index) = index {
-                    debug_assert_eq!(index.len(), n, "index out of lockstep with matrix");
-                    let (neighbours, counters) = index.knn(matrix, *item, *k);
-                    metrics.distance_cells += counters.computed;
-                    metrics.pruned_cells += counters.pruned;
-                    frame.take_positions(&neighbours);
-                } else {
-                    let mut candidates: Vec<usize> = (0..frame.selection.len())
-                        .filter(|&p| frame.selection[p] != *item)
-                        .collect();
-                    metrics.distance_cells += candidates.len() as u64;
-                    let cmp = |&pa: &usize, &pb: &usize| {
-                        let (a, b) = (frame.selection[pa], frame.selection[pb]);
-                        nan_last_cmp(matrix.get(*item, a), matrix.get(*item, b)).then(a.cmp(&b))
-                    };
-                    // O(|selection|) selection of the k winners before the
-                    // O(k log k) sort; the comparator is a strict total
-                    // order, so this equals the full sort's prefix.
-                    if *k < candidates.len() {
-                        if *k == 0 {
-                            candidates.clear();
-                        } else {
-                            candidates.select_nth_unstable_by(*k - 1, cmp);
-                            candidates.truncate(*k);
-                        }
+                // Same gate as FilterRange: the tree's bounded worst-first
+                // heap ranks in the neighbour order bit-identically.
+                let neighbours = match shard.index().filter(|_| frame.selection.len() == n) {
+                    Some(index) => {
+                        debug_assert_eq!(index.len(), n, "index out of lockstep with matrix");
+                        let (neighbours, counters) = index.knn(matrix, *item, *k);
+                        metrics.distance_cells += counters.computed;
+                        metrics.pruned_cells += counters.pruned;
+                        neighbours
                     }
-                    candidates.sort_by(cmp);
-                    frame.take_positions(&candidates);
-                }
+                    None => {
+                        let others = frame.selection.iter().filter(|&&j| j != *item).count();
+                        metrics.distance_cells += others as u64;
+                        knn_among(matrix, *item, *k, frame.selection.iter().copied())
+                    }
+                };
+                frame.narrow(n, neighbours);
             }
             PlanOp::Lof { min_pts } => {
                 metrics.distance_cells += matrix.packed_len() as u64;
@@ -167,15 +157,7 @@ pub(crate) fn execute(
                 // Intersect with the selection, keeping the algorithm's
                 // output order (ascending index for DB(p, D), descending
                 // score for LOF outliers).
-                let mut position_of = vec![usize::MAX; n];
-                for (p, &i) in frame.selection.iter().enumerate() {
-                    position_of[i] = p;
-                }
-                let keep: Vec<usize> = full
-                    .into_iter()
-                    .filter_map(|i| (position_of[i] != usize::MAX).then_some(position_of[i]))
-                    .collect();
-                frame.take_positions(&keep);
+                frame.narrow(n, full);
             }
             PlanOp::ClusterLabels(rule) => match rule {
                 ClusterRule::Dbscan { eps, min_pts } => {
@@ -227,8 +209,13 @@ pub(crate) fn execute(
                 );
             }
             PlanOp::Limit(k) => {
-                let keep: Vec<usize> = (0..frame.selection.len().min(*k)).collect();
-                frame.take_positions(&keep);
+                frame.selection.truncate(*k);
+                if let Some(s) = &mut frame.scores {
+                    s.truncate(*k);
+                }
+                if let Some(l) = &mut frame.labels {
+                    l.truncate(*k);
+                }
             }
             PlanOp::Project(projection) => {
                 let missing = |what: &str| {

@@ -26,8 +26,8 @@ pub enum PlanOp {
     /// op; the compiler inserts it when a pipeline omits it.
     Scan,
     /// Keep selected items within `radius` of item `item` (inclusive,
-    /// `item` itself excluded, NaN distances never qualify) — the
-    /// ε-neighbourhood semantics of [`dpe_mining::range_indices`].
+    /// `item` itself excluded, NaN distances never qualify), in selection
+    /// order — [`dpe_mining::range_among`] over the selection.
     FilterRange {
         /// Anchor item.
         item: usize,
@@ -35,9 +35,8 @@ pub enum PlanOp {
         radius: f64,
     },
     /// Keep the `k` selected items nearest to `item` (closest first,
-    /// distance ties on the lower index, NaN last, `item` excluded) — the
-    /// semantics of [`dpe_mining::knn_indices`] restricted to the
-    /// selection.
+    /// distance ties on the lower index, NaN last, `item` excluded) —
+    /// [`dpe_mining::knn_among`] over the selection.
     Knn {
         /// Anchor item.
         item: usize,

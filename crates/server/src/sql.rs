@@ -175,8 +175,9 @@ pub fn lower_select(query: &Query, binding: &SqlTable) -> Result<Request, Server
         };
         let radius = match op {
             CompareOp::Le => radius_from_bits(*bits),
-            // Strict `<` on the monotone bit image is `<=` its predecessor.
-            CompareOp::Lt => radius_from_bits(*bits - 1),
+            // Strict `<` on the monotone bit image is `<=` its predecessor
+            // (`i64::MIN` has none: it is below every distance already).
+            CompareOp::Lt => radius_from_bits(bits.saturating_sub(1)),
             _ => {
                 return Err(unsupported(format!(
                     "{} supports only <= and <",
@@ -448,13 +449,20 @@ mod tests {
 
     #[test]
     fn negative_dist_literal_is_always_false() {
-        let req = lower("SELECT item FROM pairs WHERE anchor = 0 AND dist <= -7").unwrap();
-        let Request::Pipeline { ops, .. } = req else {
-            panic!("expected pipeline")
-        };
-        let PlanOp::FilterRange { radius, .. } = ops[1] else {
-            panic!("expected filter")
-        };
-        assert!(radius < 0.0, "no distance can satisfy the filter");
+        for pred in [
+            "dist <= -7",
+            "dist < -7",
+            "dist < 0",
+            "dist < -9223372036854775808",
+        ] {
+            let sql = format!("SELECT item FROM pairs WHERE anchor = 0 AND {pred}");
+            let Request::Pipeline { ops, .. } = lower(&sql).unwrap() else {
+                panic!("expected pipeline")
+            };
+            let PlanOp::FilterRange { radius, .. } = ops[1] else {
+                panic!("expected filter")
+            };
+            assert!(radius < 0.0, "{pred}: no distance can satisfy the filter");
+        }
     }
 }

@@ -9,8 +9,8 @@
 //! are *touched* (that is the point), never what is *answered*.
 
 use dpe_distance::{DistanceMatrix, TokenDistance};
-use dpe_mining::{knn_indices, range_indices};
-use dpe_server::{Request, Response, Server, Ticket};
+use dpe_mining::{knn_among, knn_indices, lof_outliers, range_among, range_indices, LofConfig};
+use dpe_server::{OutlierRule, PlanOp, Request, Response, Server, Ticket};
 use dpe_sql::Query;
 use dpe_workload::{LogConfig, LogGenerator};
 use std::sync::Barrier;
@@ -248,4 +248,69 @@ fn cached_and_uncached_indexed_paths_agree() {
         }
     }
     assert!(indexed.stats().cache.hits > 0);
+}
+
+/// An op that keeps every item but reorders the selection leaves the index
+/// path eligible (the selection still holds all n items). Frames narrow by
+/// item id, so `Knn`, `FilterRange` and `FilterRange → Knn` after it must
+/// answer exactly as the plain server and the direct composition do.
+#[test]
+fn index_path_after_a_reordering_op_matches_plain() {
+    const PER_SHARD: usize = 20;
+    let indexed = build_server(PER_SHARD, true);
+    let plain = build_server(PER_SHARD, false);
+    let matrices = oracle_matrices(PER_SHARD, 0);
+    let reorder = LofConfig { min_pts: 2 };
+
+    let mut pruned = 0u64;
+    for (shard, matrix) in matrices.iter().enumerate() {
+        // Every LOF score beats −∞: all n items, in descending score order.
+        let order = lof_outliers(matrix, reorder, f64::NEG_INFINITY);
+        assert_eq!(order.len(), PER_SHARD, "the reordering op keeps every item");
+        assert_ne!(order, (0..PER_SHARD).collect::<Vec<_>>());
+        for item in 0..PER_SHARD {
+            let cases = [
+                (
+                    vec![PlanOp::Knn { item, k: 4 }],
+                    knn_among(matrix, item, 4, order.iter().copied()),
+                ),
+                (
+                    vec![PlanOp::FilterRange { item, radius: 0.8 }],
+                    range_among(matrix, item, 0.8, order.iter().copied()),
+                ),
+                (
+                    vec![
+                        PlanOp::FilterRange { item, radius: 0.9 },
+                        PlanOp::Knn { item, k: 3 },
+                    ],
+                    knn_among(
+                        matrix,
+                        item,
+                        3,
+                        range_among(matrix, item, 0.9, order.iter().copied()),
+                    ),
+                ),
+            ];
+            for (tail, expect) in cases {
+                let mut ops = vec![PlanOp::Outliers(OutlierRule::LofThreshold {
+                    min_pts: reorder.min_pts,
+                    threshold: f64::NEG_INFINITY,
+                })];
+                ops.extend(tail);
+                let request = Request::Pipeline { shard, ops };
+                let (got, m) = indexed.explain(&request).unwrap();
+                pruned += m.pruned_cells;
+                let want = plain.serve_one_uncached(&request).unwrap();
+                assert!(got.bits_eq(&want), "{request:?}: indexed vs plain");
+                assert!(
+                    got.bits_eq(&Response::Indices(expect)),
+                    "{request:?}: vs composition"
+                );
+            }
+        }
+    }
+    assert!(
+        pruned > 0,
+        "the index path was never taken after the reorder"
+    );
 }

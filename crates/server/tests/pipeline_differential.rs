@@ -442,6 +442,11 @@ fn select_workload(t: &SqlTable, radii: &[f64]) -> Vec<String> {
         out.push(format!(
             "SELECT {it} FROM {tb} WHERE {an} = {anchor} ORDER BY {di} ASC LIMIT 3"
         ));
+        // The smallest literal: `<` must not step below it.
+        out.push(format!(
+            "SELECT {it} FROM {tb} WHERE {an} = {anchor} AND {di} < {}",
+            i64::MIN
+        ));
     }
     out
 }
