@@ -1,8 +1,8 @@
 //! The lock-order / race-pattern pass over the serving layer.
 //!
 //! `dpe-server` has grown real lock surface: per-shard `RwLock<Shard>`s,
-//! per-shard cache and plan `Mutex`es, and the scheduler's injector-queue
-//! mutexes — plus channels threaded between producer threads and lock
+//! per-shard cache and plan `Mutex`es, and the submission intake's
+//! mutex — plus channels threaded between producer threads and lock
 //! holders. No test explores interleavings that deadlock; this pass
 //! explores the *acquisition structure* instead:
 //!

@@ -7,7 +7,7 @@
 //! * `per_query_sequential` — the no-engine baseline: one lock acquisition
 //!   per request, no coalescing, no cache.
 //! * `serve_batch_cold` — the batch path with the response cache cleared
-//!   every iteration: measures coalescing + work stealing alone.
+//!   every iteration: measures per-shard coalescing alone.
 //! * `serve_batch_warm` — the steady state: Zipf repetition makes most
 //!   requests cache hits, so repeated encrypted queries never recompute.
 //! * `submit_drain_8clients` — the full concurrent surface: 8 real client
@@ -167,11 +167,10 @@ fn bench_server_throughput(c: &mut Criterion) {
         cache.evictions
     );
     println!(
-        "scheduler: {} served in {} batches ({:.1} requests/lock), {} steals",
+        "scheduler: {} served in {} batches ({:.1} requests/lock)",
         sched.served,
         sched.batches,
         sched.served as f64 / sched.batches.max(1) as f64,
-        sched.steals
     );
 }
 

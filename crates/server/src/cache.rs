@@ -1,7 +1,8 @@
 //! A slab-backed LRU cache for computed responses.
 //!
-//! The serving engine keys cached responses on *(shard, shard epoch,
-//! request fingerprint)* — see [`crate::server`] — so this container only
+//! The serving engine keys cached responses on *(shard epoch, compiled
+//! plan)* in one partition per shard — see [`crate::server`] — so this
+//! container only
 //! needs to be a fast, allocation-reusing LRU: a `HashMap` from key to slab
 //! slot plus an intrusive doubly-linked recency list threaded through the
 //! slab. `get` and `put` are O(1); evicted slots are recycled through a

@@ -40,18 +40,22 @@ struct Frame {
 
 impl Frame {
     /// Narrows the selection to the selected ones of `items` (ids below
-    /// `n`), in `items`' order; each aligned payload entry follows its item
-    /// through a position map.
-    fn narrow(&mut self, n: usize, items: impl IntoIterator<Item = usize>) {
+    /// `n`): in `items`' order, or in selection order when
+    /// `selection_order` is set. Each aligned payload entry follows its
+    /// item through a position map.
+    fn narrow(&mut self, n: usize, items: impl IntoIterator<Item = usize>, selection_order: bool) {
         let mut position_of = vec![usize::MAX; n];
         for (p, &i) in self.selection.iter().enumerate() {
             position_of[i] = p;
         }
-        let positions: Vec<usize> = items
+        let mut positions: Vec<usize> = items
             .into_iter()
             .map(|i| position_of[i])
             .filter(|&p| p != usize::MAX)
             .collect();
+        if selection_order {
+            positions.sort_unstable();
+        }
         self.selection = positions.iter().map(|&p| self.selection[p]).collect();
         if let Some(s) = &mut self.scores {
             *s = positions.iter().map(|&p| s[p]).collect();
@@ -106,19 +110,16 @@ pub(crate) fn execute(
                         let (hits, counters) = index.range(matrix, *item, *radius);
                         metrics.distance_cells += counters.computed;
                         metrics.pruned_cells += counters.pruned;
-                        // Back into selection order: the tree lists hits by id.
-                        let mut hit = vec![false; n];
-                        hits.into_iter().for_each(|h| hit[h] = true);
-                        let mut kept = frame.selection.clone();
-                        kept.retain(|&j| hit[j]);
-                        kept
+                        hits
                     }
                     None => {
                         metrics.distance_cells += frame.selection.len() as u64;
                         range_among(matrix, *item, *radius, frame.selection.iter().copied())
                     }
                 };
-                frame.narrow(n, hits);
+                // The tree lists hits by id, `range_among` in selection
+                // order; narrowing puts either into selection order.
+                frame.narrow(n, hits, true);
             }
             PlanOp::Knn { item, k } => {
                 // Same gate as FilterRange: the tree's bounded worst-first
@@ -137,7 +138,7 @@ pub(crate) fn execute(
                         knn_among(matrix, *item, *k, frame.selection.iter().copied())
                     }
                 };
-                frame.narrow(n, neighbours);
+                frame.narrow(n, neighbours, false);
             }
             PlanOp::Lof { min_pts } => {
                 metrics.distance_cells += matrix.packed_len() as u64;
@@ -157,7 +158,7 @@ pub(crate) fn execute(
                 // Intersect with the selection, keeping the algorithm's
                 // output order (ascending index for DB(p, D), descending
                 // score for LOF outliers).
-                frame.narrow(n, full);
+                frame.narrow(n, full, false);
             }
             PlanOp::ClusterLabels(rule) => match rule {
                 ClusterRule::Dbscan { eps, min_pts } => {

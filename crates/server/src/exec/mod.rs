@@ -23,3 +23,4 @@ pub use metrics::{ExecutionMetrics, OpMetric};
 pub use plan::{ClusterRule, OutlierRule, PhysicalPlan, PlanOp, Projection};
 
 pub(crate) use executor::execute;
+pub(crate) use plan::PlanKey;

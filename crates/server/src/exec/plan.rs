@@ -8,7 +8,7 @@
 //! ([`PhysicalPlan::validate`]) — an operator cannot ship with execution
 //! semantics but no bounds checks, because both read the same op list.
 
-use crate::request::{Request, ServerError};
+use crate::request::{linkage_tag, Request, ServerError};
 use dpe_mining::Linkage;
 
 /// One operator of the physical-plan algebra.
@@ -139,69 +139,62 @@ impl PhysicalPlan {
     /// to `Scan → op → Project`; pipelines are normalized (a leading
     /// `Scan` and a trailing natural `Project` are inserted when omitted).
     pub fn compile(request: &Request) -> PhysicalPlan {
-        let ops = match request.clone() {
-            Request::Knn { item, k, .. } => vec![
-                PlanOp::Scan,
-                PlanOp::Knn { item, k },
-                PlanOp::Project(Projection::Items),
-            ],
-            Request::Range { item, radius, .. } => vec![
-                PlanOp::Scan,
-                PlanOp::FilterRange { item, radius },
-                PlanOp::Project(Projection::Items),
-            ],
-            Request::Lof { min_pts, .. } => vec![
-                PlanOp::Scan,
-                PlanOp::Lof { min_pts },
-                PlanOp::Project(Projection::Scores),
-            ],
+        let (op, projection) = match *request {
+            Request::Knn { item, k, .. } => (PlanOp::Knn { item, k }, Projection::Items),
+            Request::Range { item, radius, .. } => {
+                (PlanOp::FilterRange { item, radius }, Projection::Items)
+            }
+            Request::Lof { min_pts, .. } => (PlanOp::Lof { min_pts }, Projection::Scores),
             Request::LofOutliers {
                 min_pts, threshold, ..
-            } => vec![
-                PlanOp::Scan,
+            } => (
                 PlanOp::Outliers(OutlierRule::LofThreshold { min_pts, threshold }),
-                PlanOp::Project(Projection::Items),
-            ],
-            Request::Outliers { p, d, .. } => vec![
-                PlanOp::Scan,
+                Projection::Items,
+            ),
+            Request::Outliers { p, d, .. } => (
                 PlanOp::Outliers(OutlierRule::DistanceBased { p, d }),
-                PlanOp::Project(Projection::Items),
-            ],
-            Request::Dbscan { eps, min_pts, .. } => vec![
-                PlanOp::Scan,
+                Projection::Items,
+            ),
+            Request::Dbscan { eps, min_pts, .. } => (
                 PlanOp::ClusterLabels(ClusterRule::Dbscan { eps, min_pts }),
-                PlanOp::Project(Projection::Labels),
-            ],
-            Request::KMedoids { k, .. } => vec![
-                PlanOp::Scan,
+                Projection::Labels,
+            ),
+            Request::KMedoids { k, .. } => (
                 PlanOp::ClusterLabels(ClusterRule::KMedoids { k }),
-                PlanOp::Project(Projection::Medoids),
-            ],
-            Request::Hierarchical { linkage, k, .. } => vec![
-                PlanOp::Scan,
+                Projection::Medoids,
+            ),
+            Request::Hierarchical { linkage, k, .. } => (
                 PlanOp::ClusterLabels(ClusterRule::Hierarchical { linkage, k }),
-                PlanOp::Project(Projection::Labels),
-            ],
-            Request::FrequentItemsets { min_support, .. } => vec![
-                PlanOp::Scan,
-                PlanOp::Itemsets { min_support },
-                PlanOp::Project(Projection::Itemsets),
-            ],
-            Request::Pipeline { ops, .. } => {
+                Projection::Labels,
+            ),
+            Request::FrequentItemsets { min_support, .. } => {
+                (PlanOp::Itemsets { min_support }, Projection::Itemsets)
+            }
+            Request::Pipeline { ref ops, .. } => {
                 let mut normalized = Vec::with_capacity(ops.len() + 2);
                 if ops.first() != Some(&PlanOp::Scan) {
                     normalized.push(PlanOp::Scan);
                 }
-                let needs_project = !ops.iter().any(|op| matches!(op, PlanOp::Project(_)));
-                normalized.extend(ops);
-                if needs_project {
+                normalized.extend_from_slice(ops);
+                if !ops.iter().any(|op| matches!(op, PlanOp::Project(_))) {
                     let natural = natural_projection(&normalized);
                     normalized.push(PlanOp::Project(natural));
                 }
-                normalized
+                return PhysicalPlan { ops: normalized };
             }
         };
-        PhysicalPlan { ops }
+        PhysicalPlan {
+            ops: vec![PlanOp::Scan, op, PlanOp::Project(projection)],
+        }
+    }
+
+    /// The plan's response-cache key (see [`PlanKey`]).
+    pub(crate) fn key(&self) -> PlanKey {
+        let mut words = Vec::with_capacity(3 * self.ops.len());
+        for op in &self.ops {
+            encode_op(op, &mut words);
+        }
+        PlanKey(words)
     }
 
     /// The compiled operator sequence.
@@ -342,6 +335,51 @@ impl PhysicalPlan {
             }
         }
         Ok(())
+    }
+}
+
+/// Bit-exact response-cache key of a compiled plan: its ops as tag-led
+/// words with a fixed arity per tag (floats via `to_bits`), so the encoding
+/// is self-delimiting and two plans share a key exactly when they agree op
+/// for op, bit for bit. Requests that compile to one plan — a single-shot
+/// variant and its one-op pipeline spelling, a native `Range` and its SQL
+/// `dist <= dist_literal(r)` lowering — share their cache entry.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct PlanKey(Vec<u64>);
+
+/// Appends one plan op's key words: an op tag followed by a fixed number
+/// of operand words.
+fn encode_op(op: &PlanOp, words: &mut Vec<u64>) {
+    match op {
+        PlanOp::Scan => words.push(0),
+        PlanOp::FilterRange { item, radius } => words.extend([1, *item as u64, radius.to_bits()]),
+        PlanOp::Knn { item, k } => words.extend([2, *item as u64, *k as u64]),
+        PlanOp::Lof { min_pts } => words.extend([3, *min_pts as u64]),
+        PlanOp::Outliers(OutlierRule::DistanceBased { p, d }) => {
+            words.extend([4, p.to_bits(), d.to_bits()])
+        }
+        PlanOp::Outliers(OutlierRule::LofThreshold { min_pts, threshold }) => {
+            words.extend([5, *min_pts as u64, threshold.to_bits()])
+        }
+        PlanOp::ClusterLabels(ClusterRule::Dbscan { eps, min_pts }) => {
+            words.extend([6, *min_pts as u64, eps.to_bits()])
+        }
+        PlanOp::ClusterLabels(ClusterRule::KMedoids { k }) => words.extend([7, *k as u64]),
+        PlanOp::ClusterLabels(ClusterRule::Hierarchical { linkage, k }) => {
+            words.extend([8, *k as u64, linkage_tag(*linkage) as u64])
+        }
+        PlanOp::Itemsets { min_support } => words.extend([9, *min_support as u64]),
+        PlanOp::Project(projection) => {
+            let kind = match projection {
+                Projection::Items => 0u64,
+                Projection::Scores => 1,
+                Projection::Labels => 2,
+                Projection::Medoids => 3,
+                Projection::Itemsets => 4,
+            };
+            words.extend([10, kind]);
+        }
+        PlanOp::Limit(k) => words.extend([11, *k as u64]),
     }
 }
 

@@ -13,12 +13,13 @@
 //!   Mining never crosses tenants, so no cross-shard distance is ever
 //!   computed, and an ingest into one tenant never blocks readers of
 //!   another.
-//! * **Batch coalescing with work stealing** — requests queue per shard;
-//!   a drain takes whole shard queues at once (one lock acquisition per
-//!   batch) on workers that steal entire queues from loaded shards when
-//!   their own are empty. See [`SchedulerStats`].
-//! * **Epoch-keyed LRU response cache** — responses are cached under
-//!   *(shard, shard epoch, bit-exact request fingerprint)*; a streaming
+//! * **Batch coalescing** — one dispatch routine, [`Server::serve_batch`],
+//!   groups requests by shard and lets its workers claim whole shard groups
+//!   from one shared cursor, each answered under one lock acquisition;
+//!   [`Server::submit`] / [`Server::drain`] is a thin intake in front of it.
+//!   See [`SchedulerStats`].
+//! * **Epoch-keyed LRU response cache** — responses are cached per shard
+//!   under *(shard epoch, bit-exact compiled plan)*; a streaming
 //!   insert bumps the epoch, so stale answers are unreachable by
 //!   construction rather than by invalidation scans. Under a Zipf-skewed
 //!   tenant workload — the realistic shape `dpe-workload` generates —
@@ -76,7 +77,6 @@ mod cache;
 pub mod exec;
 mod plan;
 mod request;
-mod scheduler;
 mod server;
 mod shard;
 pub mod sql;
@@ -87,7 +87,6 @@ pub use exec::{
 };
 pub use plan::PlanStats;
 pub use request::{Request, Response, ServerError, Ticket};
-pub use scheduler::SchedulerStats;
-pub use server::{Server, ServerBuilder, ServerStats};
+pub use server::{SchedulerStats, Server, ServerBuilder, ServerStats};
 pub use shard::{Shard, ShardIndex};
 pub use sql::{dist_literal, lower_select, SqlTable};

@@ -1,6 +1,6 @@
 //! The serving wire types: requests, responses, tickets and errors.
 
-use crate::exec::{ClusterRule, OutlierRule, PlanOp, Projection};
+use crate::exec::PlanOp;
 use dpe_distance::DistanceError;
 use dpe_durability::DurabilityError;
 use dpe_mining::Linkage;
@@ -10,9 +10,10 @@ use std::fmt;
 ///
 /// Every request names its target [`shard`](Request::shard); item indices
 /// refer to positions inside that shard's store (insertion order, exactly
-/// the indices [`crate::Server::ingest`] assigns). Float parameters are
-/// fingerprinted bit-exactly for caching — two radii that differ in the
-/// last ulp are two cache entries, never a wrong answer.
+/// the indices [`crate::Server::ingest`] assigns). Responses are cached
+/// under the compiled plan, whose key reads float parameters bit-exactly —
+/// two radii that differ in the last ulp are two cache entries, never a
+/// wrong answer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// The `k` nearest neighbours of stored item `item`.
@@ -57,12 +58,12 @@ pub enum Request {
     FrequentItemsets { shard: usize, min_support: usize },
     /// A compound query: a chain of [`PlanOp`]s executed as **one** physical
     /// plan under a single shard read lock — filter → cluster-label →
-    /// project in one scheduler pass instead of one round trip per step.
+    /// project in one shard batch instead of one round trip per step.
     /// The compiler normalizes the chain (leading `Scan`, trailing natural
     /// `Project` when omitted); whole-shard operators compute over the full
     /// shard and project onto the pipeline's current selection, so results
     /// are bit-identical to composing the single-shot variants client-side.
-    /// Fingerprinted bit-exactly and cached like every other request.
+    /// Cached under its compiled plan like every other request.
     Pipeline { shard: usize, ops: Vec<PlanOp> },
 }
 
@@ -82,80 +83,9 @@ impl Request {
             Request::Pipeline { shard, .. } => shard,
         }
     }
-
-    /// A hashable bit-exact fingerprint (shard excluded — the cache key
-    /// carries the shard and its epoch separately). The encoding is a
-    /// tag-led word sequence with a fixed arity per tag, so it is
-    /// self-delimiting: compound pipelines of any length fingerprint
-    /// collision-free next to the single-shot variants.
-    pub(crate) fn fingerprint(&self) -> RequestKey {
-        let mut words: Vec<u64> = Vec::with_capacity(4);
-        match self {
-            Request::Knn { item, k, .. } => words.extend([0, *item as u64, *k as u64]),
-            Request::Range { item, radius, .. } => {
-                words.extend([1, *item as u64, radius.to_bits()])
-            }
-            Request::Lof { min_pts, .. } => words.extend([2, *min_pts as u64]),
-            Request::LofOutliers {
-                min_pts, threshold, ..
-            } => words.extend([3, *min_pts as u64, threshold.to_bits()]),
-            Request::Outliers { p, d, .. } => words.extend([4, p.to_bits(), d.to_bits()]),
-            Request::Dbscan { eps, min_pts, .. } => {
-                words.extend([5, *min_pts as u64, eps.to_bits()])
-            }
-            Request::KMedoids { k, .. } => words.extend([6, *k as u64]),
-            Request::Hierarchical { linkage, k, .. } => {
-                words.extend([7, *k as u64, linkage_tag(*linkage) as u64])
-            }
-            Request::FrequentItemsets { min_support, .. } => words.extend([8, *min_support as u64]),
-            Request::Pipeline { ops, .. } => {
-                words.extend([9, ops.len() as u64]);
-                for op in ops {
-                    encode_op(op, &mut words);
-                }
-            }
-        }
-        RequestKey(words)
-    }
 }
 
-/// Appends one plan op's fingerprint words: an op tag followed by a fixed
-/// number of operand words (floats bit-exact via `to_bits`).
-fn encode_op(op: &PlanOp, words: &mut Vec<u64>) {
-    match op {
-        PlanOp::Scan => words.push(0),
-        PlanOp::FilterRange { item, radius } => words.extend([1, *item as u64, radius.to_bits()]),
-        PlanOp::Knn { item, k } => words.extend([2, *item as u64, *k as u64]),
-        PlanOp::Lof { min_pts } => words.extend([3, *min_pts as u64]),
-        PlanOp::Outliers(OutlierRule::DistanceBased { p, d }) => {
-            words.extend([4, p.to_bits(), d.to_bits()])
-        }
-        PlanOp::Outliers(OutlierRule::LofThreshold { min_pts, threshold }) => {
-            words.extend([5, *min_pts as u64, threshold.to_bits()])
-        }
-        PlanOp::ClusterLabels(ClusterRule::Dbscan { eps, min_pts }) => {
-            words.extend([6, *min_pts as u64, eps.to_bits()])
-        }
-        PlanOp::ClusterLabels(ClusterRule::KMedoids { k }) => words.extend([7, *k as u64]),
-        PlanOp::ClusterLabels(ClusterRule::Hierarchical { linkage, k }) => {
-            words.extend([8, *k as u64, linkage_tag(*linkage) as u64])
-        }
-        PlanOp::Itemsets { min_support } => words.extend([9, *min_support as u64]),
-        PlanOp::Project(projection) => {
-            let kind = match projection {
-                Projection::Items => 0u64,
-                Projection::Scores => 1,
-                Projection::Labels => 2,
-                Projection::Medoids => 3,
-                Projection::Itemsets => 4,
-            };
-            words.extend([10, kind]);
-        }
-        PlanOp::Limit(k) => words.extend([11, *k as u64]),
-    }
-}
-
-/// Stable numeric tag per linkage rule, used in fingerprints and plan-cache
+/// Stable numeric tag per linkage rule, used in response- and plan-cache
 /// keys (the enum deliberately carries no `#[repr]`, so the mapping lives
 /// here, next to the other wire encodings).
 pub(crate) fn linkage_tag(linkage: Linkage) -> usize {
@@ -165,12 +95,6 @@ pub(crate) fn linkage_tag(linkage: Linkage) -> usize {
         Linkage::Average => 2,
     }
 }
-
-/// Bit-exact request fingerprint used in cache keys: a self-delimiting
-/// tag-led word sequence (see [`Request::fingerprint`]), variable-length so
-/// compound pipelines fingerprint exactly like everything else.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct RequestKey(Vec<u64>);
 
 /// A computed answer.
 ///
@@ -314,6 +238,12 @@ impl From<DurabilityError> for ServerError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{ClusterRule, PhysicalPlan, PlanKey, Projection};
+
+    /// The response-cache key a request is served under.
+    fn key(request: &Request) -> PlanKey {
+        PhysicalPlan::compile(request).key()
+    }
 
     #[test]
     fn fingerprints_separate_kinds_and_parameters() {
@@ -381,7 +311,7 @@ mod tests {
             // variants they contain, and op order / parameters separate.
             Request::Pipeline {
                 shard: 0,
-                ops: vec![PlanOp::Knn { item: 1, k: 3 }],
+                ops: vec![PlanOp::Knn { item: 1, k: 3 }, PlanOp::Limit(2)],
             },
             Request::Pipeline {
                 shard: 0,
@@ -423,8 +353,55 @@ mod tests {
         ];
         for (i, a) in reqs.iter().enumerate() {
             for (j, b) in reqs.iter().enumerate() {
-                assert_eq!(a.fingerprint() == b.fingerprint(), i == j, "{a:?} vs {b:?}");
+                assert_eq!(key(a) == key(b), i == j, "{a:?} vs {b:?}");
             }
+        }
+        // Spellings that compile to one plan share one key: a single-shot
+        // variant and its one-op pipeline, an explicit leading `Scan`, and
+        // the SQL lowering of a range (`Scan → FilterRange → Project`).
+        let same_plan = [
+            (
+                Request::Knn {
+                    shard: 0,
+                    item: 1,
+                    k: 3,
+                },
+                Request::Pipeline {
+                    shard: 0,
+                    ops: vec![PlanOp::Knn { item: 1, k: 3 }],
+                },
+            ),
+            (
+                Request::Lof {
+                    shard: 0,
+                    min_pts: 3,
+                },
+                Request::Pipeline {
+                    shard: 0,
+                    ops: vec![PlanOp::Scan, PlanOp::Lof { min_pts: 3 }],
+                },
+            ),
+            (
+                Request::Range {
+                    shard: 0,
+                    item: 1,
+                    radius: 3.0,
+                },
+                Request::Pipeline {
+                    shard: 0,
+                    ops: vec![
+                        PlanOp::Scan,
+                        PlanOp::FilterRange {
+                            item: 1,
+                            radius: 3.0,
+                        },
+                        PlanOp::Project(Projection::Items),
+                    ],
+                },
+            ),
+        ];
+        for (a, b) in &same_plan {
+            assert_eq!(key(a), key(b), "{a:?} vs {b:?}");
         }
     }
 
@@ -440,12 +417,12 @@ mod tests {
             item: 0,
             radius: 0.1 + f64::EPSILON,
         };
-        assert_ne!(a.fingerprint(), b.fingerprint());
+        assert_ne!(key(&a), key(&b));
     }
 
     #[test]
     fn fingerprint_ignores_shard() {
-        // The cache key carries (shard, epoch) beside the fingerprint.
+        // Each shard has its own cache partition, keyed on (epoch, plan).
         let a = Request::Lof {
             shard: 0,
             min_pts: 2,
@@ -454,7 +431,7 @@ mod tests {
             shard: 7,
             min_pts: 2,
         };
-        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_eq!(key(&a), key(&b));
     }
 
     #[test]

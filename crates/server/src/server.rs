@@ -1,27 +1,28 @@
 //! The multi-tenant batch-serving engine.
 //!
 //! A [`Server`] owns the sharded store (one [`Shard`] per tenant, each a
-//! packed incremental distance matrix), the per-shard injector queues of
-//! the work-stealing scheduler, and per-shard LRU response-cache
-//! partitions keyed on *(shard, shard-epoch, request fingerprint)* —
-//! workers on different shards never contend on a cache lock. Three
-//! serving paths:
+//! packed incremental distance matrix), one intake of submitted requests,
+//! and per-shard LRU response-cache partitions keyed on *(shard epoch,
+//! compiled plan)* — workers on different shards never contend on a cache
+//! lock. Three serving paths:
 //!
+//! * [`Server::serve_batch`] — the one dispatch routine: group a slice of
+//!   requests by shard, let `threads` workers claim whole shard groups,
+//!   answer each group under a single read-lock acquisition, and return
+//!   results in input order.
 //! * [`Server::submit`] / [`Server::drain`] — the asynchronous surface:
-//!   any number of client threads enqueue requests concurrently; a drain
-//!   coalesces everything pending per shard into single-lock batches and
-//!   answers them on `threads` work-stealing workers.
-//! * [`Server::serve_batch`] — the synchronous fast path: answer a slice of
-//!   requests (grouped by shard, stealing enabled) and return results in
-//!   input order.
+//!   any number of client threads append to the intake concurrently; a
+//!   drain takes everything submitted so far and answers it through
+//!   `serve_batch`. A request submitted while a drain runs is answered by
+//!   the next drain.
 //! * [`Server::serve_one_uncached`] — the per-query dispatch baseline the
 //!   `server_throughput` bench compares against: one lock acquisition per
 //!   request, no cache.
 //!
 //! All three, and [`Server::explain`], answer through one executor entry
-//! (`exec::execute`): compile the request, run the plan under the shard's
-//! read lock with dendrograms resolved through a plan cache, record the
-//! query's metrics. The baseline passes a fresh, throwaway plan cache.
+//! (`exec::execute`): run the compiled plan under the shard's read lock
+//! with dendrograms resolved through a plan cache, record the query's
+//! metrics. The baseline passes a fresh, throwaway plan cache.
 //!
 //! Epoch-versioned cache keys make streaming inserts safe: every successful
 //! [`Server::ingest`] bumps the shard's epoch, so entries computed against
@@ -29,27 +30,44 @@
 //! addressable and age out of the LRU.
 
 use crate::cache::{CacheStats, LruCache};
-use crate::exec::{self, ExecutionMetrics, PhysicalPlan};
+use crate::exec::{self, ExecutionMetrics, PhysicalPlan, PlanKey};
 use crate::plan::{PlanCache, PlanStats};
-use crate::request::{Request, RequestKey, Response, ServerError, Ticket};
-use crate::scheduler::{SchedulerStats, ShardQueues};
+use crate::request::{Request, Response, ServerError, Ticket};
 use crate::shard::Shard;
 use crate::sql::SqlTable;
 use dpe_distance::QueryDistance;
 use dpe_durability::{Durability, DurabilityError, DurabilityStats, ShardStateRef};
 use dpe_sql::Query;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-/// Cache key: a response is valid for exactly one (shard, epoch, request)
-/// triple.
+/// Cache key within one shard's partition: a response is valid for exactly
+/// one (epoch, compiled plan) pair.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct CacheKey {
-    shard: usize,
     epoch: u64,
-    request: RequestKey,
+    plan: PlanKey,
+}
+
+/// Cumulative dispatch counters (monotonic over the server's lifetime).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SchedulerStats {
+    /// Requests answered through [`Server::serve_batch`] (and so through
+    /// [`Server::drain`]); misrouted requests are not counted.
+    pub served: u64,
+    /// Shard batches processed (one batch = one lock acquisition); the
+    /// coalescing ratio is `served / batches`.
+    pub batches: u64,
+}
+
+/// Submitted requests awaiting the next drain. The mutex that guards the
+/// queue also issues the tickets, so `pending` is always in ticket order.
+#[derive(Debug, Default)]
+struct Intake {
+    next_ticket: u64,
+    pending: Vec<(Ticket, Request)>,
 }
 
 /// One unified server snapshot: every counter the engine keeps, in one
@@ -60,7 +78,7 @@ struct CacheKey {
 pub struct ServerStats {
     /// Response-cache counters, aggregated over the per-shard partitions.
     pub cache: CacheStats,
-    /// Scheduler counters (served / batches / steals).
+    /// Dispatch counters (served / batches).
     pub scheduler: SchedulerStats,
     /// Clustering-plan counters, aggregated over the per-shard caches.
     pub plans: PlanStats,
@@ -87,16 +105,17 @@ struct ExecTotals {
 pub struct Server<M> {
     measure: M,
     shards: Vec<RwLock<Shard>>,
-    queues: ShardQueues<(Ticket, Request)>,
+    intake: Mutex<Intake>,
+    served: AtomicU64,
+    batches: AtomicU64,
     /// One cache partition per shard — workers serving different shards
     /// never contend on a cache lock (a global mutex here would serialize
-    /// the warm path the scheduler exists to parallelize).
+    /// the warm path the workers exist to parallelize).
     caches: Vec<Mutex<LruCache<CacheKey, Response>>>,
     /// One clustering-plan cache per shard: a dendrogram built once per
     /// (epoch, linkage) serves every `Hierarchical` cut against that store
     /// version (the executor holds the mutex across a build).
     plans: Vec<Mutex<PlanCache>>,
-    next_ticket: AtomicU64,
     /// Executor counters summed across every answered query.
     exec_totals: Mutex<ExecTotals>,
     /// SQL front-door bindings: virtual pairs-table name → shard/column
@@ -362,12 +381,13 @@ impl<M: QueryDistance + Sync> Server<M> {
         Server {
             measure,
             shards: shards.into_iter().map(RwLock::new).collect(),
-            queues: ShardQueues::new(n),
+            intake: Mutex::new(Intake::default()),
+            served: AtomicU64::new(0),
+            batches: AtomicU64::new(0),
             caches: (0..n)
                 .map(|_| Mutex::new(LruCache::new(per_shard_capacity)))
                 .collect(),
             plans: (0..n).map(|_| Mutex::new(PlanCache::new())).collect(),
-            next_ticket: AtomicU64::new(0),
             exec_totals: Mutex::new(ExecTotals::default()),
             sql_tables: Mutex::new(BTreeMap::new()),
             durability,
@@ -535,8 +555,8 @@ impl<M: QueryDistance + Sync> Server<M> {
         result.map(|()| total)
     }
 
-    /// Enqueues a request, returning its ticket. Safe to call from any
-    /// number of threads; the request is answered by the next
+    /// Appends a request to the intake, returning its ticket. Safe to call
+    /// from any number of threads; the request is answered by the next
     /// [`Server::drain`].
     pub fn submit(&self, request: Request) -> Result<Ticket, ServerError> {
         let shard = request.shard();
@@ -546,67 +566,96 @@ impl<M: QueryDistance + Sync> Server<M> {
                 shards: self.shards.len(),
             });
         }
-        let ticket = Ticket(self.next_ticket.fetch_add(1, Ordering::Relaxed));
-        self.queues.push(shard, (ticket, request));
+        let mut intake = self.intake.lock().expect("intake lock poisoned");
+        let ticket = Ticket(intake.next_ticket);
+        intake.next_ticket += 1;
+        intake.pending.push((ticket, request));
         Ok(ticket)
     }
 
-    /// Requests currently enqueued and not yet drained.
+    /// Requests submitted and not yet drained.
     pub fn queued(&self) -> usize {
-        self.queues.pending()
+        self.intake
+            .lock()
+            .expect("intake lock poisoned")
+            .pending
+            .len()
     }
 
-    /// Answers everything enqueued, on `threads` work-stealing workers,
-    /// returning `(ticket, result)` pairs sorted by ticket (= submission
-    /// order). Each shard's pending requests are coalesced into one batch
-    /// answered under a single read-lock acquisition.
+    /// Answers everything submitted so far through [`Server::serve_batch`]
+    /// on `threads` workers, returning `(ticket, result)` pairs in ticket
+    /// (= submission) order. A request submitted while the drain runs
+    /// waits for the next drain.
     pub fn drain(&self, threads: usize) -> Vec<(Ticket, Result<Response, ServerError>)> {
-        let mut results = self
-            .queues
-            .drain(threads, |shard, jobs| self.answer_shard_batch(shard, jobs));
-        results.sort_by_key(|&(t, _)| t);
-        results
+        let pending =
+            std::mem::take(&mut self.intake.lock().expect("intake lock poisoned").pending);
+        let (tickets, requests): (Vec<Ticket>, Vec<Request>) = pending.into_iter().unzip();
+        tickets
+            .into_iter()
+            .zip(self.serve_batch(&requests, threads))
+            .collect()
     }
 
-    /// Synchronous fast path: answers `requests` (grouped by shard, same
-    /// work-stealing workers and cache as [`Server::drain`]) and returns
-    /// the results in input order.
+    /// The one dispatch routine: answers `requests` and returns the results
+    /// in input order. Requests are grouped by shard (a request naming no
+    /// shard is answered [`ServerError::UnknownShard`] in place); up to
+    /// `threads` scoped workers claim whole shard groups from one shared
+    /// cursor and answer each group under a single read-lock acquisition
+    /// (see [`SchedulerStats`]). Even one worker is spawned rather than run
+    /// on the calling thread, so serving allocations stay off its heap.
     pub fn serve_batch(
         &self,
         requests: &[Request],
         threads: usize,
     ) -> Vec<Result<Response, ServerError>> {
-        let queues: ShardQueues<(usize, &Request)> = ShardQueues::new(self.shards.len());
+        let shards = self.shards.len();
         let mut out: Vec<Option<Result<Response, ServerError>>> = vec![None; requests.len()];
-        let mut misrouted: Vec<(usize, ServerError)> = Vec::new();
-        for (i, req) in requests.iter().enumerate() {
-            let shard = req.shard();
-            if shard >= self.shards.len() {
-                misrouted.push((
-                    i,
-                    ServerError::UnknownShard {
-                        shard,
-                        shards: self.shards.len(),
-                    },
-                ));
-            } else {
-                queues.push(shard, (i, req));
+        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); shards];
+        for (i, request) in requests.iter().enumerate() {
+            let shard = request.shard();
+            match by_shard.get_mut(shard) {
+                Some(group) => group.push(i),
+                None => out[i] = Some(Err(ServerError::UnknownShard { shard, shards })),
             }
         }
-        let answered = queues.drain(threads, |shard, jobs| {
-            let jobs: VecDeque<(Ticket, Request)> = jobs
-                .into_iter()
-                .map(|(i, r)| (Ticket(i as u64), r.clone()))
+        let groups: Vec<(usize, Vec<usize>)> = by_shard
+            .into_iter()
+            .enumerate()
+            .filter(|(_, group)| !group.is_empty())
+            .collect();
+        let cursor = AtomicUsize::new(0);
+        let workers = threads.max(1).min(groups.len());
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut answered = Vec::new();
+                        while let Some((shard, group)) =
+                            groups.get(cursor.fetch_add(1, Ordering::Relaxed))
+                        {
+                            answered.extend(self.answer_shard_batch(*shard, group, requests));
+                        }
+                        answered
+                    })
+                })
                 .collect();
-            self.answer_shard_batch(shard, jobs)
+            for (w, handle) in handles.into_iter().enumerate() {
+                let answered = handle.join().unwrap_or_else(|_| {
+                    panic!(
+                        "serving worker {w}/{workers} panicked while answering a shard \
+                         batch; its unanswered requests are lost — check the shard \
+                         answer path for the panic source"
+                    )
+                });
+                for (i, result) in answered {
+                    out[i] = Some(result);
+                }
+            }
         });
-        self.queues.absorb(queues.stats());
-        for (Ticket(i), result) in answered {
-            out[i as usize] = Some(result);
-        }
-        for (i, err) in misrouted {
-            out[i] = Some(Err(err));
-        }
+        let served: usize = groups.iter().map(|(_, group)| group.len()).sum();
+        self.served.fetch_add(served as u64, Ordering::Relaxed);
+        self.batches
+            .fetch_add(groups.len() as u64, Ordering::Relaxed);
         out.into_iter()
             .map(|r| r.expect("every request answered exactly once"))
             .collect()
@@ -618,8 +667,10 @@ impl<M: QueryDistance + Sync> Server<M> {
     /// dendrogram from scratch). This is what serving looks like without
     /// the batching layer — the `server_throughput` bench measures the gap.
     pub fn serve_one_uncached(&self, request: &Request) -> Result<Response, ServerError> {
-        let guard = self.read_shard(request.shard())?;
-        self.execute(&guard, request, &Mutex::new(PlanCache::new()))
+        let shard = request.shard();
+        let guard = self.read_shard(shard)?;
+        let plan = PhysicalPlan::compile(request);
+        self.execute(&guard, shard, &plan, &Mutex::new(PlanCache::new()))
             .0
     }
 
@@ -630,64 +681,69 @@ impl<M: QueryDistance + Sync> Server<M> {
     pub fn explain(&self, request: &Request) -> Result<(Response, ExecutionMetrics), ServerError> {
         let shard = request.shard();
         let guard = self.read_shard(shard)?;
-        let (result, metrics) = self.execute(&guard, request, &self.plans[shard]);
+        let plan = PhysicalPlan::compile(request);
+        let (result, metrics) = self.execute(&guard, shard, &plan, &self.plans[shard]);
         result.map(|response| (response, metrics))
     }
 
-    /// Answers one coalesced shard batch under a single read-lock
-    /// acquisition, consulting the shard's cache partition per request and
-    /// executing the misses. Dendrograms resolve through the shard's plan
-    /// cache (built at most once per `(epoch, linkage)` — the epoch was
-    /// read under this read lock, so a cached plan provably describes the
-    /// store answering the batch), so one build amortizes across every
-    /// `Hierarchical` cut in the batch, in any order.
+    /// Answers one shard's batch — the requests at positions `batch` of
+    /// `requests` — under a single read-lock acquisition, returning
+    /// `(position, result)` pairs. Each request is compiled once; its plan
+    /// keys the shard's cache partition and, on a miss, is executed.
+    /// Dendrograms resolve through the shard's plan cache (built at most
+    /// once per `(epoch, linkage)` — the epoch was read under this read
+    /// lock, so a cached plan provably describes the store answering the
+    /// batch), so one build amortizes across every `Hierarchical` cut in
+    /// the batch, in any order.
     fn answer_shard_batch(
         &self,
         shard: usize,
-        jobs: VecDeque<(Ticket, Request)>,
-    ) -> Vec<(Ticket, Result<Response, ServerError>)> {
+        batch: &[usize],
+        requests: &[Request],
+    ) -> Vec<(usize, Result<Response, ServerError>)> {
         let guard = self.shards[shard].read().expect("shard lock poisoned");
         let epoch = guard.epoch();
         let cache = &self.caches[shard];
-        jobs.into_iter()
-            .map(|(ticket, request)| {
+        batch
+            .iter()
+            .map(|&i| {
+                let plan = PhysicalPlan::compile(&requests[i]);
                 let key = CacheKey {
-                    shard,
                     epoch,
-                    request: request.fingerprint(),
+                    plan: plan.key(),
                 };
                 if let Some(hit) = cache.lock().expect("cache lock poisoned").get(&key) {
                     self.record_exec(&ExecutionMetrics {
                         cache_hits: 1,
                         ..ExecutionMetrics::default()
                     });
-                    return (ticket, Ok(hit));
+                    return (i, Ok(hit));
                 }
-                let (result, _) = self.execute(&guard, &request, &self.plans[shard]);
+                let (result, _) = self.execute(&guard, shard, &plan, &self.plans[shard]);
                 if let Ok(response) = &result {
                     cache
                         .lock()
                         .expect("cache lock poisoned")
                         .put(key, response.clone());
                 }
-                (ticket, result)
+                (i, result)
             })
             .collect()
     }
 
-    /// The one answer path: compiles `request`, runs it through the plan
-    /// executor against `shard` (read-locked by the caller) with
-    /// dendrograms resolved through `plans`, and folds the query's metrics
-    /// into the server-wide totals.
+    /// The one answer path: runs `plan` through the plan executor against
+    /// `shard` (read-locked by the caller) with dendrograms resolved
+    /// through `plans`, and folds the query's metrics into the server-wide
+    /// totals.
     fn execute(
         &self,
         shard: &Shard,
-        request: &Request,
+        shard_id: usize,
+        plan: &PhysicalPlan,
         plans: &Mutex<PlanCache>,
     ) -> (Result<Response, ServerError>, ExecutionMetrics) {
-        let plan = PhysicalPlan::compile(request);
         let mut metrics = ExecutionMetrics::default();
-        let result = exec::execute(shard, request.shard(), &plan, plans, &mut metrics);
+        let result = exec::execute(shard, shard_id, plan, plans, &mut metrics);
         self.record_exec(&metrics);
         (result, metrics)
     }
@@ -734,7 +790,7 @@ impl<M: QueryDistance + Sync> Server<M> {
     }
 
     /// One coherent snapshot of every counter the engine keeps: response
-    /// cache, scheduler, clustering-plan cache, and the aggregated
+    /// cache, dispatch, clustering-plan cache, and the aggregated
     /// [`ExecutionMetrics`] over all answered queries. The plan-cache
     /// amortization claim is checkable here: serving `cut(k)` for many `k`
     /// against an unchanged store must grow `plans.hits` while
@@ -764,7 +820,10 @@ impl<M: QueryDistance + Sync> Server<M> {
         };
         ServerStats {
             cache,
-            scheduler: self.queues.stats(),
+            scheduler: SchedulerStats {
+                served: self.served.load(Ordering::Relaxed),
+                batches: self.batches.load(Ordering::Relaxed),
+            },
             plans,
             queries,
             exec,
@@ -904,6 +963,138 @@ mod tests {
             let oracle = s.serve_one_uncached(req).unwrap();
             assert!(result.as_ref().unwrap().bits_eq(&oracle), "{req:?}");
         }
+    }
+
+    #[test]
+    fn one_batch_per_shard_with_work() {
+        let s = server();
+        // Four requests per shard, submitted interleaved: one drain answers
+        // each shard's four under one lock acquisition.
+        for i in 0..12 {
+            s.submit(Request::Knn {
+                shard: i % 3,
+                item: i / 3,
+                k: 2,
+            })
+            .unwrap();
+        }
+        assert_eq!(s.drain(1).len(), 12);
+        assert_eq!(
+            s.stats().scheduler,
+            SchedulerStats {
+                served: 12,
+                batches: 3
+            }
+        );
+        // All the work on one shard: one batch, whatever the worker count.
+        let reqs: Vec<Request> = (0..5)
+            .map(|item| Request::Knn {
+                shard: 2,
+                item,
+                k: 3,
+            })
+            .collect();
+        assert!(s.serve_batch(&reqs, 4).iter().all(|r| r.is_ok()));
+        assert_eq!(
+            s.stats().scheduler,
+            SchedulerStats {
+                served: 17,
+                batches: 4
+            }
+        );
+    }
+
+    #[test]
+    fn empty_drain_returns_nothing_and_counts_no_batch() {
+        let s = server();
+        assert!(s.drain(8).is_empty());
+        assert!(s.serve_batch(&[], 8).is_empty());
+        assert_eq!(s.stats().scheduler, SchedulerStats::default());
+    }
+
+    #[test]
+    fn drain_and_serve_batch_count_alike() {
+        let reqs = [
+            Request::Knn {
+                shard: 0,
+                item: 1,
+                k: 2,
+            },
+            Request::Lof {
+                shard: 2,
+                min_pts: 2,
+            },
+            Request::Range {
+                shard: 0,
+                item: 4,
+                radius: 0.5,
+            },
+            Request::Knn {
+                shard: 2,
+                item: 0,
+                k: 5,
+            },
+        ];
+        let batched = server();
+        let drained = server();
+        let answers = batched.serve_batch(&reqs, 2);
+        for r in &reqs {
+            drained.submit(r.clone()).unwrap();
+        }
+        let results = drained.drain(2);
+        for (a, (_, b)) in answers.iter().zip(&results) {
+            assert!(a.as_ref().unwrap().bits_eq(b.as_ref().unwrap()));
+        }
+        let stats = batched.stats().scheduler;
+        assert_eq!(stats, drained.stats().scheduler);
+        assert_eq!((stats.served, stats.batches), (4, 2));
+    }
+
+    #[test]
+    fn native_and_sql_ranges_share_one_cache_entry() {
+        let s = server();
+        s.register_sql_table(SqlTable {
+            table: "pairs".into(),
+            shard: 1,
+            item_col: "item".into(),
+            anchor_col: "anchor".into(),
+            dist_col: "dist".into(),
+        })
+        .unwrap();
+        let radius = 0.6;
+        let native = Request::Range {
+            shard: 1,
+            item: 2,
+            radius,
+        };
+        let sql = format!(
+            "SELECT item FROM pairs WHERE anchor = 2 AND dist <= {}",
+            crate::sql::dist_literal(radius)
+        );
+        let first = s.serve_batch(std::slice::from_ref(&native), 1);
+        let before = s.stats();
+        let second = s.sql(&sql).unwrap();
+        let after = s.stats();
+        assert!(first[0].as_ref().unwrap().bits_eq(&second));
+        assert_eq!(
+            after.cache.hits,
+            before.cache.hits + 1,
+            "the SQL spelling hits"
+        );
+        assert_eq!(after.cache.misses, before.cache.misses);
+        assert_eq!(after.cache.len, 1, "one entry serves both spellings");
+        assert_eq!(after.queries - before.queries, 1);
+        assert_eq!(after.exec.cache_hits, 1);
+        assert_eq!(
+            after
+                .exec
+                .ops
+                .iter()
+                .find(|o| o.op == "FilterRange")
+                .map(|o| o.invocations),
+            Some(1),
+            "the pair costs one execution"
+        );
     }
 
     #[test]

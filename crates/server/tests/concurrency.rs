@@ -1,11 +1,11 @@
 //! Concurrency regression suite for the batch-serving engine.
 //!
 //! The contract under test: however many client threads submit, however the
-//! work-stealing workers interleave, and whenever streaming inserts land,
+//! serving workers interleave, and whenever streaming inserts land,
 //! every response is **bit-identical** to what a single-threaded oracle
 //! computes against the store state the request observed. Caching, batching
-//! and stealing are allowed to change *when* work happens — never *what* is
-//! answered.
+//! and the workers' claiming order are allowed to change *when* work
+//! happens — never *what* is answered.
 
 use dpe_distance::{DistanceMatrix, TokenDistance};
 use dpe_mining::{knn_indices, lof, range_indices, LofConfig};
@@ -346,4 +346,90 @@ fn invalid_requests_fail_cleanly_among_valid_traffic() {
         Err(ServerError::ItemOutOfBounds { item: 99, .. })
     ));
     assert!(results[4].is_ok());
+}
+
+/// The dispatch routine answers every request exactly once at any worker
+/// count: each valid request gets its oracle answer in its own slot, each
+/// misrouted one an inline `UnknownShard`, and the counters grow by the
+/// valid requests and one batch per shard with work — through
+/// `serve_batch` and through `submit`/`drain` alike.
+#[test]
+fn every_request_answered_exactly_once_at_any_thread_count() {
+    const PER_SHARD: usize = 16;
+    let server = build_server(PER_SHARD, 0);
+    let matrices = oracle_matrices(PER_SHARD, 0);
+    let mut requests = Vec::new();
+    for c in 0..8 {
+        requests.extend(client_stream(c, 30, PER_SHARD));
+    }
+    let valid = requests.len();
+    for (i, shard) in [(7, SHARDS), (100, SHARDS + 3), (valid, 99)] {
+        requests.insert(
+            i,
+            Request::Knn {
+                shard,
+                item: 0,
+                k: 1,
+            },
+        );
+    }
+    let check = |results: &[Result<Response, ServerError>], ctx: &str| {
+        assert_eq!(results.len(), requests.len(), "{ctx}");
+        for (request, result) in requests.iter().zip(results) {
+            if request.shard() >= SHARDS {
+                assert_eq!(
+                    result,
+                    &Err(ServerError::UnknownShard {
+                        shard: request.shard(),
+                        shards: SHARDS
+                    }),
+                    "{ctx}"
+                );
+            } else {
+                let expect = oracle(&matrices[request.shard()], request);
+                assert!(
+                    result.as_ref().unwrap().bits_eq(&expect),
+                    "{ctx}: {request:?}"
+                );
+            }
+        }
+    };
+    for threads in [1, 2, 4, 8] {
+        let before = server.stats().scheduler;
+        check(&server.serve_batch(&requests, threads), "serve_batch");
+        let after = server.stats().scheduler;
+        assert_eq!(
+            after.served - before.served,
+            valid as u64,
+            "threads={threads}"
+        );
+        assert_eq!(
+            after.batches - before.batches,
+            SHARDS as u64,
+            "threads={threads}"
+        );
+
+        // The same valid requests through the intake: one answer per
+        // ticket, in ticket order, counted exactly like serve_batch.
+        let tickets: Vec<Ticket> = requests
+            .iter()
+            .filter(|r| r.shard() < SHARDS)
+            .map(|r| server.submit(r.clone()).unwrap())
+            .collect();
+        let drained = server.drain(threads);
+        assert_eq!(server.queued(), 0);
+        let drained_tickets: Vec<Ticket> = drained.iter().map(|(t, _)| *t).collect();
+        assert_eq!(drained_tickets, tickets, "threads={threads}");
+        let valid_requests = requests.iter().filter(|r| r.shard() < SHARDS);
+        for ((_, result), request) in drained.iter().zip(valid_requests) {
+            let expect = oracle(&matrices[request.shard()], request);
+            assert!(
+                result.as_ref().unwrap().bits_eq(&expect),
+                "drain threads={threads}: {request:?}"
+            );
+        }
+        let drained_stats = server.stats().scheduler;
+        assert_eq!(drained_stats.served - after.served, valid as u64);
+        assert_eq!(drained_stats.batches - after.batches, SHARDS as u64);
+    }
 }

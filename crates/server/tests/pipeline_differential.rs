@@ -225,7 +225,7 @@ fn compound_pipelines_equal_client_composition_under_concurrency() {
     });
 }
 
-/// A compound pipeline fingerprint is cacheable: bit-equal re-asks hit.
+/// A compound pipeline's plan key is cacheable: bit-equal re-asks hit.
 #[test]
 fn compound_pipelines_cache_and_invalidate_by_epoch() {
     let server = build_server(64);

@@ -5,8 +5,8 @@
 //! Four tenants encrypt their query logs under token-DPE and upload the
 //! ciphertexts. Eight client threads then fire a Zipf-skewed mix of
 //! kNN / range / LOF / outlier requests at the provider's `dpe-server`,
-//! which coalesces them into per-shard batches on work-stealing workers
-//! and caches hot responses. A spot check against plaintext-side mining
+//! which coalesces them into per-shard batches answered on parallel
+//! workers and caches hot responses. A spot check against plaintext-side mining
 //! confirms the paper's claim end-to-end: every encrypted answer is
 //! bit-identical.
 //!
@@ -96,7 +96,7 @@ fn main() {
     });
 
     // 3. One drain answers everything pending: whole per-shard queues are
-    //    coalesced into single-lock batches on 4 work-stealing workers.
+    //    grouped into single-lock shard batches claimed by 4 workers.
     let results = provider.drain(4);
     let elapsed = start.elapsed();
     let total = results.len();
@@ -119,11 +119,10 @@ fn main() {
     );
     println!(
         "scheduler: {} batches for {} requests ({:.1} requests per lock \
-         acquisition), {} steals",
+         acquisition)",
         sched.batches,
         sched.served,
         sched.served as f64 / sched.batches.max(1) as f64,
-        sched.steals
     );
 
     // 4. The DPE guarantee, spot-checked: answers computed on ciphertexts

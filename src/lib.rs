@@ -16,8 +16,8 @@
 //! * [`mining`] — distance-based mining algorithms (clustering, outliers,
 //!   LOF, association rules).
 //! * [`server`] — the sharded batch-serving engine answering concurrent
-//!   kNN/LOF/range requests over the encrypted store (work-stealing batch
-//!   scheduler + epoch-keyed LRU response cache).
+//!   kNN/LOF/range requests over the encrypted store (per-shard batch
+//!   dispatch + epoch-keyed LRU response cache).
 //! * [`durability`] — per-shard write-ahead log + epoch-consistent
 //!   snapshots behind the server: crash recovery replays to bit-identical
 //!   responses.
