@@ -16,7 +16,9 @@
 //!   at the end of the packed buffer — no re-indexing of existing cells.
 //!   [`DistanceMatrix::extend`] grows a matrix by `m` queries with exactly
 //!   `m·n + m(m−1)/2` distance calls, so streaming workloads never
-//!   recompute old pairs, and [`DistanceMatrix::truncate`] undoes it.
+//!   recompute old pairs: [`DistanceMatrix::extension`] computes the new
+//!   cells under `&self`, then the infallible [`DistanceMatrix::append`]
+//!   adds them, so a failed extend changes nothing.
 //! * **Range parallelism.** [`DistanceMatrix::compute_parallel`] deals
 //!   contiguous row ranges (balanced by cell count, since row `j` costs `j`
 //!   calls) to std scoped threads; each worker writes directly into its
@@ -108,15 +110,27 @@ impl DistanceMatrix {
     /// of the packed buffer), so the result is bit-identical to a full
     /// recompute over the concatenated list.
     ///
-    /// On error the matrix is left exactly as it was (rolled back with
-    /// [`DistanceMatrix::truncate`]). Panics when `existing.len()` differs
-    /// from the matrix size.
+    /// On error the matrix is left exactly as it was. Panics when
+    /// `existing.len()` differs from the matrix size.
     pub fn extend<M: QueryDistance>(
         &mut self,
         existing: &[Query],
         new: &[Query],
         measure: &M,
     ) -> Result<(), DistanceError> {
+        let cells = self.extension(existing, new, measure)?;
+        self.append(new.len(), cells);
+        Ok(())
+    }
+
+    /// The packed cells [`DistanceMatrix::extend`] appends for `new`, in
+    /// storage order, without changing the matrix (same calls and panics).
+    pub fn extension<M: QueryDistance>(
+        &self,
+        existing: &[Query],
+        new: &[Query],
+        measure: &M,
+    ) -> Result<Vec<f64>, DistanceError> {
         assert_eq!(
             existing.len(),
             self.n,
@@ -126,41 +140,33 @@ impl DistanceMatrix {
         );
         let n = self.n;
         let item = |k: usize| if k < n { &existing[k] } else { &new[k - n] };
-        self.grow(new.len(), |i, t| measure.distance(item(i), item(t)))
+        self.rows(new.len(), |i, t| measure.distance(item(i), item(t)))
     }
 
-    /// Sizes the buffer for `m` more items and fills their rows through
-    /// [`fill_rows`]. On the first error the buffer is truncated back, so
-    /// the matrix is left exactly as it was.
-    fn grow<E>(
-        &mut self,
+    /// The cells of the `m` rows after the current ones, via [`fill_rows`].
+    fn rows<E>(
+        &self,
         m: usize,
         cell: impl FnMut(usize, usize) -> Result<f64, E>,
-    ) -> Result<(), E> {
-        let (n, start, total) = (self.n, self.data.len(), packed_cells(self.n + m));
-        self.data.reserve_exact(total - start);
-        self.data.resize(total, 0.0);
-        let filled = fill_rows(
-            &mut self.data[start..],
-            n..n + m,
-            &AtomicBool::new(false),
-            cell,
-        );
-        match filled {
-            Ok(()) => self.n += m,
-            Err(_) => self.truncate(n),
-        }
-        filled
+    ) -> Result<Vec<f64>, E> {
+        let n = self.n;
+        let mut cells = vec![0.0; packed_cells(n + m) - packed_cells(n)];
+        fill_rows(&mut cells, n..n + m, &AtomicBool::new(false), cell)?;
+        Ok(cells)
     }
 
-    /// Shrinks the matrix to its first `n` items, dropping every cell of
-    /// the later ones — the one rollback of an extend, used by
-    /// [`DistanceMatrix::extend`] on a distance error and by callers whose
-    /// step after the extend fails. Panics when `n` exceeds the size.
-    pub fn truncate(&mut self, n: usize) {
-        assert!(n <= self.n, "truncate: {n} items asked of {}", self.n);
-        self.n = n;
-        self.data.truncate(packed_cells(n));
+    /// Appends `m` items whose rows [`DistanceMatrix::extension`] computed
+    /// as `cells`; a matrix holding no cells yet takes the buffer over.
+    pub fn append(&mut self, m: usize, cells: Vec<f64>) {
+        let rows = packed_cells(self.n + m) - packed_cells(self.n);
+        assert_eq!(cells.len(), rows, "append: cells do not fill {m} rows");
+        if self.data.is_empty() {
+            self.data = cells;
+        } else {
+            self.data.reserve_exact(cells.len());
+            self.data.extend_from_slice(&cells);
+        }
+        self.n += m;
     }
 
     /// Computes all pairwise distances in parallel over `threads` workers.
@@ -244,7 +250,8 @@ impl DistanceMatrix {
     /// the infallible, measure-free analogue of [`DistanceMatrix::extend`]
     /// for streaming non-SQL workloads (e.g. graph corpora).
     pub fn extend_with(&mut self, m: usize, mut f: impl FnMut(usize, usize) -> f64) {
-        let Ok(()) = self.grow::<Infallible>(m, |i, t| Ok(f(i, t)));
+        let Ok(cells) = self.rows::<Infallible>(m, |i, t| Ok(f(i, t)));
+        self.append(m, cells);
     }
 
     /// Number of items.
@@ -527,17 +534,30 @@ mod tests {
     }
 
     #[test]
-    fn truncate_undoes_extend_bitwise() {
+    fn extension_leaves_the_matrix_and_append_matches_extend() {
         let all = queries(9);
         let before = DistanceMatrix::compute(&all[..6], &TokenDistance).unwrap();
         let mut m = before.clone();
-        m.extend(&all[..6], &all[6..], &TokenDistance).unwrap();
-        m.truncate(6);
-        assert!(m.identical(&before));
-        assert_eq!(m.packed_len(), before.packed_len());
-        // The truncated matrix extends like the original.
-        m.extend(&all[..6], &all[6..], &TokenDistance).unwrap();
+        let counting = Counting(Cell::new(0));
+        let cells = m.extension(&all[..6], &all[6..], &counting).unwrap();
+        assert_eq!(counting.0.get(), 3 * 6 + 3, "m·n + m(m−1)/2");
+        assert!(m.identical(&before), "extension reads, never writes");
+        m.append(3, cells);
         assert!(m.identical(&DistanceMatrix::compute(&all, &TokenDistance).unwrap()));
+        // An empty matrix takes the buffer over: the cells stay where
+        // the extension put them.
+        let mut empty = DistanceMatrix::new();
+        let cells = empty.extension(&[], &all, &TokenDistance).unwrap();
+        let at = cells.as_ptr();
+        empty.append(all.len(), cells);
+        assert_eq!(empty.as_packed().as_ptr(), at);
+    }
+
+    #[test]
+    #[should_panic(expected = "append: cells do not fill 1 rows")]
+    fn append_rejects_cells_of_the_wrong_rows() {
+        let mut m = DistanceMatrix::from_fn(4, |i, j| (i + j) as f64);
+        m.append(1, vec![0.5, 0.5]);
     }
 
     #[test]
@@ -569,8 +589,8 @@ mod tests {
         let (head, tail) = all.split_at(7);
         let mut m = DistanceMatrix::compute(head, &TokenDistance).unwrap();
         let before = m.clone();
-        // Poison the *last* appended query so earlier rows already pushed
-        // must be rolled back too.
+        // Poison the *last* appended query, after earlier new rows were
+        // already computed.
         let err = m
             .extend(head, tail, &FailOn(tail[2].to_string()))
             .unwrap_err();

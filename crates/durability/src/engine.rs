@@ -9,11 +9,10 @@
 //! <dir>/snap/snap-<s>.dps   epoch-consistent snapshots, ascending seq
 //! ```
 //!
-//! Locking: each shard's [`WalWriter`] sits behind its own `Mutex`, and
-//! the server calls [`Durability::log_ingest`] while already holding that
-//! shard's write lock — shard lock before WAL mutex, always, which keeps
-//! the lock order acyclic. [`Durability::checkpoint`] is called with all
-//! shard *read* locks held, which excludes concurrent appends, making the
+//! Locking: each shard's [`WalWriter`] sits behind its own `Mutex`, always
+//! the last lock taken. The server calls [`Durability::log_ingest`] under
+//! that shard's writer gate and [`Durability::checkpoint`] under every
+//! gate, which excludes concurrent appends, making the
 //! snapshot-then-reset-WALs sequence atomic with respect to ingests.
 
 use crate::snapshot::{encode_snapshot, read_snapshot_file, write_snapshot_file, ShardSnapshot};
@@ -315,9 +314,9 @@ impl Durability {
     /// could not be rolled back, and appends stay refused until the next
     /// successful [`Durability::checkpoint`].
     ///
-    /// Contract: the caller holds `shard`'s write lock, so appends for
-    /// one shard are serialized and ordered identically to the in-memory
-    /// epoch sequence.
+    /// Contract: the caller serializes appends for one shard (the server
+    /// holds its writer gate), so they are ordered identically to the
+    /// in-memory epoch sequence.
     pub fn log_ingest(
         &self,
         shard: usize,
@@ -343,8 +342,9 @@ impl Durability {
     /// the WALs (their records are now redundant) and prunes older
     /// snapshots. Returns the new snapshot's sequence number.
     ///
-    /// Contract: the caller holds **all** shard read locks across this
-    /// call, so no append can interleave with the cut or the resets.
+    /// Contract: the caller excludes every append and commit across this
+    /// call (the server holds **all** writer gates), so none can
+    /// interleave with the cut or the resets.
     pub fn checkpoint(&self, shards: &[ShardStateRef<'_>]) -> Result<u64, DurabilityError> {
         assert_eq!(
             shards.len(),

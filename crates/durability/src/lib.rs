@@ -9,7 +9,7 @@
 //!   ingest ──▶ │ shard (memory): queries + packed matrix    │──▶ serve
 //!              │        epoch e  (bumps on every ingest)    │
 //!              └──────────────┬─────────────────────────────┘
-//!                             │ same write-lock hold, before the
+//!                             │ logged beside readers, before the
 //!                             ▼ shard commits (visible iff durable)
 //!              wal/shard-i.wal   ← frame per ingest: [len][fnv64][payload]
 //!                             │ checkpoint (all shards, one epoch cut)
@@ -22,8 +22,9 @@
 //! shard reached *after* applying that batch, and a snapshot records the
 //! epoch of every shard at one consistent cut. Recovery is therefore
 //! `load newest valid snapshot → re-apply WAL records with epoch >
-//! snapshot epoch → done`; plan caches and metric indexes are derived
-//! state and get rebuilt lazily (caches) or eagerly on restore (indexes).
+//! snapshot epoch → done`; clustering plans and metric indexes are
+//! derived state and get rebuilt on demand (plans) or eagerly on restore
+//! (indexes).
 //!
 //! # What is on disk
 //!

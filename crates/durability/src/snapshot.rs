@@ -2,7 +2,7 @@
 //!
 //! One file per checkpoint (`snap/snap-<seq>.dps`) holding **every**
 //! shard's state at a single consistent cut — the server takes all shard
-//! read locks before encoding, so no ingest can interleave between two
+//! writer gates before encoding, so no ingest can interleave between two
 //! shards' sections. The layout is
 //!
 //! ```text

@@ -1,8 +1,10 @@
 //! The pull-pipeline interpreter of the physical-plan algebra.
 //!
 //! One [`execute`] call answers one compiled [`PhysicalPlan`] against one
-//! shard, under whatever lock the caller already holds (the batch path
-//! holds a single shard read lock for a whole coalesced batch). State
+//! shard, under a read lock the caller already holds (the batch path holds
+//! one for a whole coalesced batch). Only the ingest commit writes a
+//! shard, under its write lock, so the store, its index and its plans
+//! cannot change during a call. State
 //! between operators is a [`Frame`]: the ordered selection of item indices
 //! plus an optional payload aligned to it. Whole-shard algorithms compute
 //! over the entire matrix and project onto the selection, which is what
@@ -16,14 +18,13 @@
 
 use super::metrics::ExecutionMetrics;
 use super::plan::{ClusterRule, OutlierRule, PhysicalPlan, PlanOp, Projection};
-use crate::plan::PlanCache;
+use crate::plan::Plans;
 use crate::request::{Response, ServerError};
 use crate::shard::Shard;
 use dpe_mining::{
     agglomerative, canonical_dbscan_labels, db_outliers, dbscan, frequent_itemsets, kmedoids,
     knn_among, lof, lof_outliers, range_among, DbscanConfig, LofConfig, OutlierConfig,
 };
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Inter-operator state: the ordered selection plus payloads aligned to it.
@@ -69,16 +70,14 @@ impl Frame {
 /// Executes `plan` against `shard`, validating it first
 /// ([`PhysicalPlan::validate`], the single source of request checks) and
 /// accumulating per-operator metrics. `Knn`/`FilterRange` read the shard's
-/// metric index when one is built; dendrograms resolve through `plans` at
-/// the shard's epoch, built at most once per `(epoch, linkage)`. Holding
-/// the mutex across a build is deliberate: a second worker wanting the
-/// same plan blocks and then hits instead of burning another O(n³) build.
-/// A fresh cache per call is the no-cache baseline.
+/// metric index when one is built. Dendrograms resolve through `plans` —
+/// the shard's own, built at most once per linkage between two commits —
+/// or, with `None` (the no-cache baseline), are built afresh per call.
 pub(crate) fn execute(
     shard: &Shard,
     shard_id: usize,
     plan: &PhysicalPlan,
-    plans: &Mutex<PlanCache>,
+    plans: Option<&Plans>,
     metrics: &mut ExecutionMetrics,
 ) -> Result<Response, ServerError> {
     let started = Instant::now();
@@ -179,15 +178,15 @@ pub(crate) fn execute(
                     frame.medoids = Some((r.medoids, r.assignment, cost));
                 }
                 ClusterRule::Hierarchical { linkage, k } => {
-                    let mut built = false;
-                    let dendrogram = plans.lock().expect("plan lock poisoned").get_or_build(
-                        shard.epoch(),
-                        *linkage,
-                        || {
-                            built = true;
-                            agglomerative(matrix, *linkage)
-                        },
-                    );
+                    let build = || agglomerative(matrix, *linkage);
+                    let fresh;
+                    let (dendrogram, built) = match plans {
+                        Some(plans) => plans.get_or_build(*linkage, build),
+                        None => {
+                            fresh = build();
+                            (&fresh, true)
+                        }
+                    };
                     if built {
                         metrics.plan_builds += 1;
                         metrics.distance_cells += matrix.packed_len() as u64;

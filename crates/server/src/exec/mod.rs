@@ -5,8 +5,9 @@
 //! compiles ([`PhysicalPlan::compile`]) into a small operator algebra
 //! ([`PlanOp`]): a `Scan`, a chain of selection/scoring operators, and a
 //! final `Project`. One entry, `execute`, runs the chain under a single
-//! shard read lock, resolving dendrograms through the shard's plan cache
-//! and accumulating [`ExecutionMetrics`] per query (rows scanned, distance
+//! shard read lock, resolving dendrograms through the shard's plans (which
+//! the ingest commit drops under the write lock) and accumulating
+//! [`ExecutionMetrics`] per query (rows scanned, distance
 //! cells touched, cache/plan interactions, per-operator wall time). Every
 //! serving path — batches, `explain` and the no-cache baseline — calls it.
 //!

@@ -12,7 +12,9 @@
 //!   with its own packed upper-triangle [`dpe_distance::DistanceMatrix`].
 //!   Mining never crosses tenants, so no cross-shard distance is ever
 //!   computed, and an ingest into one tenant never blocks readers of
-//!   another.
+//!   another. Within a tenant, an ingest computes its distances and logs
+//!   its batch beside the readers and holds them off only for the
+//!   commit.
 //! * **Batch coalescing** — one dispatch routine, [`Server::serve_batch`],
 //!   groups requests by shard and lets its workers claim whole shard groups
 //!   from one shared cursor, each answered under one lock acquisition;
@@ -25,12 +27,11 @@
 //!   tenant workload — the realistic shape `dpe-workload` generates —
 //!   repeated encrypted queries never recompute a mining pass. See
 //!   [`CacheStats`].
-//! * **Clustering plan cache** — agglomerative clustering's expensive
-//!   artefact, the dendrogram, answers *every* `cut(k)`; it is built once
-//!   per *(shard, epoch, linkage)* and shared across requests, batches and
+//! * **Clustering plans** — agglomerative clustering's expensive
+//!   artefact, the dendrogram, answers *every* `cut(k)`; each shard builds
+//!   it once per linkage and shares it across requests, batches and
 //!   clients (one slot per linkage, so request order within a batch never
-//!   costs a build).
-//!   Ingests invalidate plans lazily through the same epoch keying. See
+//!   costs a build). The ingest commit drops a shard's plans. See
 //!   [`PlanStats`].
 //!
 //! Every request — the nine single-shot variants and the compound

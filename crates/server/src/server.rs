@@ -21,17 +21,18 @@
 //!
 //! All three, and [`Server::explain`], answer through one executor entry
 //! (`exec::execute`): run the compiled plan under the shard's read lock
-//! with dendrograms resolved through a plan cache, record the query's
-//! metrics. The baseline passes a fresh, throwaway plan cache.
+//! with dendrograms resolved through the shard's plans, record the query's
+//! metrics. The baseline builds every dendrogram afresh instead.
 //!
-//! Epoch-versioned cache keys make streaming inserts safe: every successful
-//! [`Server::ingest`] bumps the shard's epoch, so entries computed against
-//! the old store can never be returned afterwards — they simply stop being
-//! addressable and age out of the LRU.
+//! An ingest computes and logs beside the shard's readers and takes the
+//! write lock only to commit (see [`Server::ingest`]); the commit bumps the
+//! epoch, so cached responses for the old store stop being addressable and
+//! age out of the LRU, and it drops the shard's plans. Lock order: writer
+//! gate → shard lock → WAL mutex (inside [`Durability`]).
 
 use crate::cache::{CacheStats, LruCache};
 use crate::exec::{self, ExecutionMetrics, PhysicalPlan, PlanKey};
-use crate::plan::{PlanCache, PlanStats};
+use crate::plan::{PlanStats, Plans};
 use crate::request::{Request, Response, ServerError, Ticket};
 use crate::shard::Shard;
 use crate::sql::SqlTable;
@@ -41,7 +42,7 @@ use dpe_sql::Query;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// Cache key within one shard's partition: a response is valid for exactly
 /// one (epoch, compiled plan) pair.
@@ -80,7 +81,7 @@ pub struct ServerStats {
     pub cache: CacheStats,
     /// Dispatch counters (served / batches).
     pub scheduler: SchedulerStats,
-    /// Clustering-plan counters, aggregated over the per-shard caches.
+    /// Clustering-plan counters, aggregated over the shards.
     pub plans: PlanStats,
     /// Queries answered through the plan executor or the response cache.
     pub queries: u64,
@@ -96,6 +97,8 @@ pub struct ServerStats {
 struct ExecTotals {
     queries: u64,
     metrics: ExecutionMetrics,
+    /// Plan counters; `live` is read off the shards.
+    plans: PlanStats,
 }
 
 /// The batch-serving engine. Generic over the distance measure used for
@@ -105,6 +108,9 @@ struct ExecTotals {
 pub struct Server<M> {
     measure: M,
     shards: Vec<RwLock<Shard>>,
+    /// Per-shard writer gates: an ingest holds its shard's through every
+    /// step, [`Server::checkpoint`] holds them all.
+    writers: Vec<Mutex<()>>,
     intake: Mutex<Intake>,
     served: AtomicU64,
     batches: AtomicU64,
@@ -112,19 +118,14 @@ pub struct Server<M> {
     /// never contend on a cache lock (a global mutex here would serialize
     /// the warm path the workers exist to parallelize).
     caches: Vec<Mutex<LruCache<CacheKey, Response>>>,
-    /// One clustering-plan cache per shard: a dendrogram built once per
-    /// (epoch, linkage) serves every `Hierarchical` cut against that store
-    /// version (the executor holds the mutex across a build).
-    plans: Vec<Mutex<PlanCache>>,
     /// Executor counters summed across every answered query.
     exec_totals: Mutex<ExecTotals>,
     /// SQL front-door bindings: virtual pairs-table name → shard/column
     /// binding (see [`crate::sql`]).
     pub(crate) sql_tables: Mutex<BTreeMap<String, SqlTable>>,
     /// The WAL + snapshot engine, when durability is configured. Appends
-    /// happen inside the owning shard's write-lock hold (shard lock →
-    /// WAL mutex, never the reverse), so the log order always equals the
-    /// epoch order readers observe.
+    /// happen under the owning shard's writer gate and no shard lock, so
+    /// the log order always equals the epoch order readers observe.
     durability: Option<Arc<Durability>>,
 }
 
@@ -180,9 +181,9 @@ impl<M: QueryDistance + Sync> ServerBuilder<M> {
     /// created at `path` (refused with a typed error if it already holds
     /// durable state — recover from it with [`ServerBuilder::recover`]
     /// instead). Each ingest appends its batch to the owning shard's WAL
-    /// inside the same write-lock hold as the matrix extend, and commits
-    /// (epoch bump) only once the append is synced; [`Server::checkpoint`]
-    /// folds the logs into an epoch-consistent snapshot.
+    /// and commits (epoch bump) only once the append is synced;
+    /// [`Server::checkpoint`] folds the logs into an epoch-consistent
+    /// snapshot.
     pub fn durability(mut self, path: impl Into<PathBuf>) -> Self {
         self.durability = Some(path.into());
         self
@@ -244,12 +245,11 @@ impl<M: QueryDistance + Sync> ServerBuilder<M> {
     /// Rebuilds a whole multi-tenant server from a durable directory: the
     /// newest valid snapshot is loaded (its matrices bit-identical to the
     /// snapshotted ones), WAL records past each shard's snapshot epoch
-    /// are re-applied through [`Shard::apply`] with no log step
-    /// (deterministic distance recomputation — bit-identical again), and
-    /// the engine stays attached so post-recovery ingests keep logging.
-    /// Plan and response caches start empty (they rebuild lazily); metric
-    /// indexes are rebuilt eagerly when [`ServerBuilder::metric_index`] is
-    /// set.
+    /// are re-applied through [`Shard::apply`] (deterministic distance
+    /// recomputation — bit-identical again), and the engine stays attached
+    /// so post-recovery ingests keep logging. Plans and the response cache
+    /// start empty (they fill on demand); metric indexes are rebuilt
+    /// eagerly when [`ServerBuilder::metric_index`] is set.
     ///
     /// The shard count is adopted from the directory's manifest; calling
     /// [`ServerBuilder::shards`] with a different count is a typed error.
@@ -272,10 +272,10 @@ impl<M: QueryDistance + Sync> ServerBuilder<M> {
                 recovery.base.epoch,
             );
             // The same deterministic distance calls the live server made,
-            // so the rebuilt cells are bit-identical. No log step: these
-            // records are already in the WAL.
+            // so the rebuilt cells are bit-identical. Nothing is logged:
+            // these records are already in the WAL.
             for record in &recovery.tail {
-                shard.apply(&record.queries, &config.measure, None)?;
+                shard.apply(&record.queries, &config.measure)?;
                 debug_assert_eq!(shard.epoch(), record.epoch, "replay must track the log");
             }
             if config.metric_index {
@@ -381,13 +381,13 @@ impl<M: QueryDistance + Sync> Server<M> {
         Server {
             measure,
             shards: shards.into_iter().map(RwLock::new).collect(),
+            writers: (0..n).map(|_| Mutex::new(())).collect(),
             intake: Mutex::new(Intake::default()),
             served: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             caches: (0..n)
                 .map(|_| Mutex::new(LruCache::new(per_shard_capacity)))
                 .collect(),
-            plans: (0..n).map(|_| Mutex::new(PlanCache::new())).collect(),
             exec_totals: Mutex::new(ExecTotals::default()),
             sql_tables: Mutex::new(BTreeMap::new()),
             durability,
@@ -407,37 +407,6 @@ impl<M: QueryDistance + Sync> Server<M> {
     /// Current epoch of `shard` (bumped by every successful ingest).
     pub fn shard_epoch(&self, shard: usize) -> Result<u64, ServerError> {
         Ok(self.read_shard(shard)?.epoch())
-    }
-
-    /// Builds (or rebuilds) `shard`'s metric index over its current store;
-    /// every subsequent ingest maintains it incrementally. Refused with a
-    /// typed error for measures that do not declare
-    /// [`QueryDistance::is_metric`] — triangle-inequality pruning over a
-    /// non-metric measure (e.g. access-area distance) would silently drop
-    /// answers.
-    pub fn build_index(&self, shard: usize) -> Result<(), ServerError> {
-        if !self.measure.is_metric() {
-            return Err(ServerError::BadRequest(format!(
-                "measure {} is not a metric: a triangle-inequality index would prune \
-                 valid answers",
-                self.measure.name()
-            )));
-        }
-        self.slot(shard)?
-            .write()
-            .expect("shard lock poisoned")
-            .enable_index();
-        Ok(())
-    }
-
-    /// Drops `shard`'s metric index; its queries fall back to the matrix
-    /// paths.
-    pub fn drop_index(&self, shard: usize) -> Result<(), ServerError> {
-        self.slot(shard)?
-            .write()
-            .expect("shard lock poisoned")
-            .disable_index();
-        Ok(())
     }
 
     /// `true` when `shard` currently has a metric index.
@@ -463,23 +432,24 @@ impl<M: QueryDistance + Sync> Server<M> {
 
     /// Streaming insert into one tenant shard, reusing the incremental
     /// matrix path (`m·n + m(m−1)/2` distance calls for `m` new items).
-    /// Takes the shard's write lock; concurrent readers of *other* shards
-    /// are unaffected. On success the shard epoch bumps, invalidating every
-    /// cached response for that shard.
+    /// On success the shard epoch bumps, invalidating every cached
+    /// response and dropping every clustering plan for that shard.
     ///
-    /// The whole ingest is one [`Shard::apply`] under one write-lock hold:
-    /// extend the matrix, append the batch to the shard's WAL (with
-    /// [`ServerBuilder::durability`] configured), then commit. So an
-    /// ingest is visible iff it is durable: a failed WAL append surfaces
-    /// as [`ServerError::Durability`] and leaves the shard, its epoch and
-    /// its log as they were, and the next ingest may proceed. The log
-    /// order is exactly the epoch order readers observe.
+    /// Under the shard's writer gate (one ingest per shard at a time), the
+    /// new matrix cells are computed under the shard's *read* lock, the
+    /// batch is appended to the WAL and synced (with
+    /// [`ServerBuilder::durability`] configured) under no shard lock, and
+    /// only the infallible commit takes the write lock. So readers wait
+    /// only for the commit, and an ingest is visible iff it is durable: a
+    /// distance error or a failed WAL append surfaces as a typed error and
+    /// leaves the shard, its epoch and its log as they were. The log order
+    /// is exactly the epoch order readers observe.
     ///
     /// A batch holding a query whose canonical rendering does not lex (an
     /// AST the parser never builds, such as `LIMIT` above `i64::MAX` or an
     /// identifier like `a-b`) is refused with [`ServerError::BadRequest`]
-    /// before the write lock is taken: such a query would break every
-    /// later distance call against it, even when its own ingest costs none.
+    /// before any lock is taken: such a query would break every later
+    /// distance call against it, even when its own ingest costs none.
     pub fn ingest(&self, shard: usize, new: &[Query]) -> Result<(), ServerError> {
         let slot = self.slot(shard)?;
         for (i, q) in new.iter().enumerate() {
@@ -487,13 +457,30 @@ impl<M: QueryDistance + Sync> Server<M> {
                 ServerError::BadRequest(format!("ingest: query {i} does not lex: {e}"))
             })?;
         }
-        let log = |epoch| match &self.durability {
-            Some(d) => d.log_ingest(shard, epoch, new),
-            None => Ok(()),
+        // The gate guards no data, so a poisoned one is still sound.
+        let _writer = self.writers[shard]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let (cells, epoch) = {
+            let current = slot.read().expect("shard lock poisoned");
+            let cells = current
+                .matrix()
+                .extension(current.queries(), new, &self.measure)?;
+            (cells, current.epoch() + 1)
         };
-        slot.write()
+        if let Some(d) = &self.durability {
+            d.log_ingest(shard, epoch, new)?;
+        }
+        let dropped = slot
+            .write()
             .expect("shard lock poisoned")
-            .apply(new, &self.measure, Some(&log))
+            .commit(new, cells);
+        self.exec_totals
+            .lock()
+            .expect("exec totals lock poisoned")
+            .plans
+            .invalidations += dropped;
+        Ok(())
     }
 
     /// Pipelined streaming insert: pulls chunks from `chunks` on a
@@ -504,9 +491,9 @@ impl<M: QueryDistance + Sync> Server<M> {
     /// assembly — overlaps with the server-side distance computation.
     ///
     /// Each non-empty chunk is one [`Server::ingest`] (empty chunks are
-    /// skipped, so they bump no epoch), each under its own write-lock
-    /// acquisition, so readers of this shard interleave between chunks
-    /// and other shards are never blocked. A bounded channel (capacity 2)
+    /// skipped, so they bump no epoch), so readers of this shard are only
+    /// held off during each chunk's commit and other shards are never
+    /// blocked. A bounded channel (capacity 2)
     /// applies backpressure to a producer that outruns ingestion. Returns
     /// the total item count applied; on error the chunks already ingested
     /// remain (each visible and durable with its own epoch), the failing
@@ -662,27 +649,26 @@ impl<M: QueryDistance + Sync> Server<M> {
     }
 
     /// Per-query dispatch baseline: answers one request with one lock
-    /// acquisition and **no** cache involvement (response cache *and* plan
-    /// cache are both bypassed — a throwaway plan cache builds every
-    /// dendrogram from scratch). This is what serving looks like without
-    /// the batching layer — the `server_throughput` bench measures the gap.
+    /// acquisition and **no** cache involvement (response cache *and*
+    /// shard plans are both bypassed — every dendrogram is built from
+    /// scratch). This is what serving looks like without the batching
+    /// layer — the `server_throughput` bench measures the gap.
     pub fn serve_one_uncached(&self, request: &Request) -> Result<Response, ServerError> {
         let shard = request.shard();
         let guard = self.read_shard(shard)?;
         let plan = PhysicalPlan::compile(request);
-        self.execute(&guard, shard, &plan, &Mutex::new(PlanCache::new()))
-            .0
+        self.execute(&guard, shard, &plan, None).0
     }
 
-    /// Answers one request through the plan executor *with* the plan cache
-    /// but **skipping the response cache**, returning the response together
-    /// with the query's own [`ExecutionMetrics`] — the per-query
+    /// Answers one request through the plan executor *with* the shard's
+    /// plans but **skipping the response cache**, returning the response
+    /// together with the query's own [`ExecutionMetrics`] — the per-query
     /// observability hook (`EXPLAIN ANALYZE` for the encrypted store).
     pub fn explain(&self, request: &Request) -> Result<(Response, ExecutionMetrics), ServerError> {
         let shard = request.shard();
         let guard = self.read_shard(shard)?;
         let plan = PhysicalPlan::compile(request);
-        let (result, metrics) = self.execute(&guard, shard, &plan, &self.plans[shard]);
+        let (result, metrics) = self.execute(&guard, shard, &plan, Some(guard.plans()));
         result.map(|response| (response, metrics))
     }
 
@@ -690,11 +676,10 @@ impl<M: QueryDistance + Sync> Server<M> {
     /// `requests` — under a single read-lock acquisition, returning
     /// `(position, result)` pairs. Each request is compiled once; its plan
     /// keys the shard's cache partition and, on a miss, is executed.
-    /// Dendrograms resolve through the shard's plan cache (built at most
-    /// once per `(epoch, linkage)` — the epoch was read under this read
-    /// lock, so a cached plan provably describes the store answering the
-    /// batch), so one build amortizes across every `Hierarchical` cut in
-    /// the batch, in any order.
+    /// Dendrograms resolve through the shard's plans (built at most once
+    /// per linkage between two commits, and no commit can land under this
+    /// read lock), so one build amortizes across every `Hierarchical` cut
+    /// in the batch, in any order.
     fn answer_shard_batch(
         &self,
         shard: usize,
@@ -713,13 +698,16 @@ impl<M: QueryDistance + Sync> Server<M> {
                     plan: plan.key(),
                 };
                 if let Some(hit) = cache.lock().expect("cache lock poisoned").get(&key) {
-                    self.record_exec(&ExecutionMetrics {
-                        cache_hits: 1,
-                        ..ExecutionMetrics::default()
-                    });
+                    self.record_exec(
+                        &ExecutionMetrics {
+                            cache_hits: 1,
+                            ..ExecutionMetrics::default()
+                        },
+                        false,
+                    );
                     return (i, Ok(hit));
                 }
-                let (result, _) = self.execute(&guard, shard, &plan, &self.plans[shard]);
+                let (result, _) = self.execute(&guard, shard, &plan, Some(guard.plans()));
                 if let Ok(response) = &result {
                     cache
                         .lock()
@@ -733,18 +721,18 @@ impl<M: QueryDistance + Sync> Server<M> {
 
     /// The one answer path: runs `plan` through the plan executor against
     /// `shard` (read-locked by the caller) with dendrograms resolved
-    /// through `plans`, and folds the query's metrics into the server-wide
-    /// totals.
+    /// through `plans` (built afresh when `None`), and folds the query's
+    /// metrics into the server-wide totals.
     fn execute(
         &self,
         shard: &Shard,
         shard_id: usize,
         plan: &PhysicalPlan,
-        plans: &Mutex<PlanCache>,
+        plans: Option<&Plans>,
     ) -> (Result<Response, ServerError>, ExecutionMetrics) {
         let mut metrics = ExecutionMetrics::default();
         let result = exec::execute(shard, shard_id, plan, plans, &mut metrics);
-        self.record_exec(&metrics);
+        self.record_exec(&metrics, plans.is_some());
         (result, metrics)
     }
 
@@ -754,10 +742,10 @@ impl<M: QueryDistance + Sync> Server<M> {
     /// [`ServerBuilder::durability`]; refused with a typed error
     /// otherwise.
     ///
-    /// Epoch consistency comes from lock order: all shard read locks are
-    /// acquired (in index order) before any byte is written, so no ingest
-    /// can slide between "shard 0 snapshotted" and "shard 1 snapshotted".
-    /// Queries keep being served throughout — only writers wait.
+    /// Epoch consistency comes from the writer gates: all are taken (in
+    /// shard order) before any byte is written and held until the WALs are
+    /// reset, so no ingest can log or commit inside the cut. Queries keep
+    /// being served throughout — only writers wait.
     pub fn checkpoint(&self) -> Result<u64, ServerError> {
         let Some(d) = &self.durability else {
             return Err(ServerError::BadRequest(
@@ -766,10 +754,17 @@ impl<M: QueryDistance + Sync> Server<M> {
                     .into(),
             ));
         };
-        // Hold every read lock for the duration: the snapshot is a
+        // Hold every writer gate for the duration: the snapshot is a
         // single cross-shard cut of the epoch frontier.
-        let guards: Vec<_> = (0..self.shards.len())
-            .map(|s| self.shards[s].read().expect("shard lock poisoned"))
+        let _writers: Vec<_> = self
+            .writers
+            .iter()
+            .map(|w| w.lock().unwrap_or_else(PoisonError::into_inner))
+            .collect();
+        let guards: Vec<_> = self
+            .shards
+            .iter()
+            .map(|s| s.read().expect("shard lock poisoned"))
             .collect();
         let states: Vec<ShardStateRef<'_>> = guards
             .iter()
@@ -782,16 +777,21 @@ impl<M: QueryDistance + Sync> Server<M> {
         Ok(d.checkpoint(&states)?)
     }
 
-    /// Folds one query's metrics into the server-wide totals.
-    fn record_exec(&self, metrics: &ExecutionMetrics) {
+    /// Folds one query's metrics into the server-wide totals, and its plan
+    /// builds and hits into [`ServerStats::plans`] if `shard_plans`.
+    fn record_exec(&self, metrics: &ExecutionMetrics, shard_plans: bool) {
         let mut totals = self.exec_totals.lock().expect("exec totals lock poisoned");
         totals.queries += 1;
         totals.metrics.merge(metrics);
+        if shard_plans {
+            totals.plans.builds += metrics.plan_builds;
+            totals.plans.hits += metrics.plan_hits;
+        }
     }
 
     /// One coherent snapshot of every counter the engine keeps: response
-    /// cache, dispatch, clustering-plan cache, and the aggregated
-    /// [`ExecutionMetrics`] over all answered queries. The plan-cache
+    /// cache, dispatch, clustering plans, and the aggregated
+    /// [`ExecutionMetrics`] over all answered queries. The plan
     /// amortization claim is checkable here: serving `cut(k)` for many `k`
     /// against an unchanged store must grow `plans.hits` while
     /// `plans.builds` stays put.
@@ -805,18 +805,14 @@ impl<M: QueryDistance + Sync> Server<M> {
                 len: acc.len + s.len,
             }
         });
-        let plans = self.plans.iter().fold(PlanStats::default(), |acc, p| {
-            let s = p.lock().expect("plan lock poisoned").stats();
-            PlanStats {
-                builds: acc.builds + s.builds,
-                hits: acc.hits + s.hits,
-                invalidations: acc.invalidations + s.invalidations,
-                live: acc.live + s.live,
-            }
-        });
-        let (queries, exec) = {
+        let live = self
+            .shards
+            .iter()
+            .map(|s| s.read().expect("shard lock poisoned").plans().live())
+            .sum();
+        let (queries, exec, plans) = {
             let totals = self.exec_totals.lock().expect("exec totals lock poisoned");
-            (totals.queries, totals.metrics.clone())
+            (totals.queries, totals.metrics.clone(), totals.plans)
         };
         ServerStats {
             cache,
@@ -824,7 +820,7 @@ impl<M: QueryDistance + Sync> Server<M> {
                 served: self.served.load(Ordering::Relaxed),
                 batches: self.batches.load(Ordering::Relaxed),
             },
-            plans,
+            plans: PlanStats { live, ..plans },
             queries,
             exec,
             durability: self.durability.as_ref().map(|d| d.stats()),
@@ -839,12 +835,12 @@ impl<M: QueryDistance + Sync> Server<M> {
         }
     }
 
-    /// Drops every cached clustering plan (counters keep accumulating) —
-    /// used by the cold-plan bench configurations. Never needed for
-    /// correctness: epoch keying already makes stale plans unreachable.
+    /// Drops every clustering plan (counters keep accumulating), for
+    /// measuring cold plans. Never needed for correctness: every ingest
+    /// commit already drops its shard's plans.
     pub fn clear_plans(&self) {
-        for plans in &self.plans {
-            plans.lock().expect("plan lock poisoned").clear();
+        for shard in &self.shards {
+            shard.write().expect("shard lock poisoned").clear_plans();
         }
     }
 }
@@ -1557,29 +1553,6 @@ mod tests {
     }
 
     #[test]
-    fn build_index_refuses_non_metric_measures() {
-        /// A measure that never declares the triangle inequality
-        /// (`is_metric` defaults to false).
-        #[derive(Debug)]
-        struct NotAMetric;
-        impl QueryDistance for NotAMetric {
-            fn distance(
-                &self,
-                _: &dpe_sql::Query,
-                _: &dpe_sql::Query,
-            ) -> Result<f64, dpe_distance::DistanceError> {
-                Ok(0.5)
-            }
-            fn name(&self) -> &'static str {
-                "not-a-metric"
-            }
-        }
-        let s = Server::builder(NotAMetric).build();
-        assert!(matches!(s.build_index(0), Err(ServerError::BadRequest(_))));
-        assert!(!s.has_index(0).unwrap());
-    }
-
-    #[test]
     #[should_panic(expected = "metric_index requires a metric measure")]
     fn builder_metric_index_panics_for_non_metric_measures() {
         #[derive(Debug)]
@@ -1597,28 +1570,6 @@ mod tests {
             }
         }
         Server::builder(NotAMetric).metric_index(true).build();
-    }
-
-    #[test]
-    fn retrofitted_and_dropped_indexes_round_trip() {
-        let s = server();
-        assert!(!s.has_index(0).unwrap());
-        s.build_index(0).unwrap();
-        assert!(s.has_index(0).unwrap());
-        let req = Request::Knn {
-            shard: 0,
-            item: 2,
-            k: 4,
-        };
-        let indexed = s.serve_one_uncached(&req).unwrap();
-        s.drop_index(0).unwrap();
-        assert!(!s.has_index(0).unwrap());
-        let plain = s.serve_one_uncached(&req).unwrap();
-        assert!(indexed.bits_eq(&plain));
-        assert!(matches!(
-            s.build_index(9),
-            Err(ServerError::UnknownShard { shard: 9, .. })
-        ));
     }
 
     #[test]
@@ -1734,8 +1685,8 @@ mod tests {
         let ops: Vec<&str> = metrics.ops.iter().map(|o| o.op).collect();
         assert_eq!(ops, ["Scan", "Knn", "Project"]);
 
-        // A hierarchical explain resolves through the plan cache: the
-        // second call for the same (epoch, linkage) must be a plan hit.
+        // A hierarchical explain resolves through the shard's plans: the
+        // second call for the same linkage and store must be a plan hit.
         let h = Request::Hierarchical {
             shard: 1,
             linkage: dpe_mining::Linkage::Average,

@@ -8,30 +8,32 @@
 //! queries cost exactly `m·n + m(m−1)/2` distance calls, and the packed
 //! upper-triangle layout keeps the per-shard memory at `n(n−1)/2` cells.
 //!
-//! Every change to a shard after construction or restore goes through one
-//! step, [`Shard::apply`]: extend the matrix, run the optional log step,
-//! then commit. Live ingest, streamed chunks and WAL replay all call it.
+//! Every change to a shard after construction or restore is one commit of
+//! matrix cells computed beforehand under shared access: [`Shard::apply`]
+//! for WAL replay, and [`crate::Server::ingest`], which logs in between.
 
+use crate::plan::Plans;
 use crate::request::ServerError;
 use dpe_distance::index::{MatrixSource, QueryCounters, VpTree};
 use dpe_distance::{DistanceMatrix, QueryDistance};
-use dpe_durability::DurabilityError;
 use dpe_mining::apriori::Transaction;
 use dpe_sql::{feature_set, Query};
 
 /// A tenant's slice of the store: queries in insertion order plus the
 /// packed matrix over them, versioned by an epoch that bumps on every
-/// successful insert (cache keys embed it, so stale responses can never be
-/// served after a [`Shard::apply`]).
+/// commit (cache keys embed it, so stale responses can never be served
+/// after one).
 #[derive(Debug, Clone, Default)]
 pub struct Shard {
     queries: Vec<Query>,
     matrix: DistanceMatrix,
     epoch: u64,
     /// The optional metric index (see [`ShardIndex`]); kept in lockstep
-    /// with the matrix inside the same `&mut self` apply, so it can never
-    /// describe a different epoch than the matrix it prunes for.
+    /// with the matrix by the commit, so it can never describe a
+    /// different epoch than the matrix it prunes for.
     index: Option<ShardIndex>,
+    /// Clustering plans built against this store; the commit drops them.
+    plans: Plans,
 }
 
 /// A shard's metric index: a [`VpTree`] over the shard's packed matrix.
@@ -145,43 +147,33 @@ impl Shard {
             queries,
             matrix,
             epoch,
-            index: None,
+            ..Shard::default()
         }
     }
 
-    /// The one way a shard changes: appends `new` queries in three steps.
-    ///
-    /// 1. **Extend.** The packed matrix grows in place by exactly
-    ///    `m·n + m(m−1)/2` distance calls; a distance error rolls it back.
-    /// 2. **Log.** `log`, when given, is called with the epoch the shard
-    ///    will reach (the WAL append). If it fails, the matrix is truncated
-    ///    back and the error returned.
-    /// 3. **Commit.** Only now are the queries pushed, the epoch bumped and
-    ///    the batch absorbed into the metric index.
-    ///
-    /// So on any error the shard (epoch included) is unchanged, and with a
-    /// log step an apply is visible iff it is durable. WAL replay passes
-    /// no log step: its records are already in the log.
+    /// Appends `new` queries: computes their matrix cells, then commits.
+    /// A distance error leaves the shard (epoch included) unchanged.
     pub fn apply<M: QueryDistance>(
         &mut self,
         new: &[Query],
         measure: &M,
-        log: Option<&dyn Fn(u64) -> Result<(), DurabilityError>>,
     ) -> Result<(), ServerError> {
-        let n = self.queries.len();
-        self.matrix.extend(&self.queries, new, measure)?;
-        if let Some(log) = log {
-            if let Err(e) = log(self.epoch + 1) {
-                self.matrix.truncate(n);
-                return Err(e.into());
-            }
-        }
+        let cells = self.matrix.extension(&self.queries, new, measure)?;
+        self.commit(new, cells);
+        Ok(())
+    }
+
+    /// The one way a shard changes, and infallible: appends `new` with the
+    /// matrix `cells` computed for it against this store, bumps the epoch,
+    /// maintains the index, and drops the plans (returning how many).
+    pub(crate) fn commit(&mut self, new: &[Query], cells: Vec<f64>) -> u64 {
+        self.matrix.append(new.len(), cells);
         self.queries.extend_from_slice(new);
         self.epoch += 1;
         if let Some(index) = &mut self.index {
             index.absorb(&self.matrix);
         }
-        Ok(())
+        self.plans.clear()
     }
 
     /// Items stored.
@@ -194,7 +186,7 @@ impl Shard {
         self.queries.is_empty()
     }
 
-    /// Version counter, bumped by every successful [`Shard::apply`].
+    /// Version counter, bumped by every commit.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -211,21 +203,26 @@ impl Shard {
     }
 
     /// Builds (or rebuilds) the shard's metric index over the current
-    /// matrix; every subsequent [`Shard::apply`] keeps it current
-    /// incrementally. The caller is responsible for only indexing metric
-    /// measures ([`QueryDistance::is_metric`]) — [`crate::Server`] checks.
+    /// matrix; every later commit keeps it current incrementally. The
+    /// caller is responsible for only indexing metric measures
+    /// ([`QueryDistance::is_metric`]) — [`crate::Server`] checks.
     pub fn enable_index(&mut self) {
         self.index = Some(ShardIndex::build(&self.matrix));
-    }
-
-    /// Drops the metric index; queries fall back to the matrix paths.
-    pub fn disable_index(&mut self) {
-        self.index = None;
     }
 
     /// The shard's metric index, when one is built.
     pub fn index(&self) -> Option<&ShardIndex> {
         self.index.as_ref()
+    }
+
+    /// The clustering plans built against the current store.
+    pub(crate) fn plans(&self) -> &Plans {
+        &self.plans
+    }
+
+    /// Drops every clustering plan, for measuring cold plans.
+    pub(crate) fn clear_plans(&mut self) {
+        self.plans.clear();
     }
 
     /// The shard's query log as Apriori transactions: each query's
@@ -243,7 +240,6 @@ impl Shard {
 mod tests {
     use super::*;
     use crate::exec::{self, ExecutionMetrics, PhysicalPlan};
-    use crate::plan::PlanCache;
     use crate::request::{Request, Response};
     use dpe_distance::TokenDistance;
     use dpe_mining::{
@@ -251,16 +247,16 @@ mod tests {
         range_indices, DbscanConfig, Linkage, LofConfig, OutlierConfig,
     };
     use dpe_sql::parse_query;
-    use std::sync::Mutex;
 
-    /// Answers `request` through the one executor entry with a fresh plan
-    /// cache — what `Server::serve_one_uncached` does under its lock.
+    /// Answers `request` through the one executor entry, building any
+    /// dendrogram afresh — what `Server::serve_one_uncached` does under
+    /// its lock.
     fn answer(shard: &Shard, request: &Request) -> Result<Response, ServerError> {
         exec::execute(
             shard,
             request.shard(),
             &PhysicalPlan::compile(request),
-            &Mutex::new(PlanCache::new()),
+            None,
             &mut ExecutionMetrics::default(),
         )
     }
@@ -285,8 +281,8 @@ mod tests {
         let full = DistanceMatrix::compute(&all, &TokenDistance).unwrap();
         let mut shard = Shard::new();
         assert_eq!(shard.epoch(), 0);
-        shard.apply(&all[..7], &TokenDistance, None).unwrap();
-        shard.apply(&all[7..], &TokenDistance, None).unwrap();
+        shard.apply(&all[..7], &TokenDistance).unwrap();
+        shard.apply(&all[7..], &TokenDistance).unwrap();
         assert_eq!(shard.epoch(), 2);
         assert_eq!(shard.len(), 12);
         assert!(shard.matrix().identical(&full));
@@ -296,7 +292,7 @@ mod tests {
     fn index_tracks_ingest_and_answers_match_mining() {
         let all = queries(40);
         let mut shard = Shard::new();
-        shard.apply(&all[..10], &TokenDistance, None).unwrap();
+        shard.apply(&all[..10], &TokenDistance).unwrap();
         shard.enable_index();
         let built = shard.index().expect("index just built").built_len();
         assert_eq!(built, 10);
@@ -304,12 +300,12 @@ mod tests {
         // A small ingest lands in the overflow buffer; a large one forces
         // a rebuild. Either way every answer stays bit-identical to the
         // matrix path.
-        shard.apply(&all[10..13], &TokenDistance, None).unwrap();
+        shard.apply(&all[10..13], &TokenDistance).unwrap();
         let index = shard.index().expect("index survives ingest");
         assert_eq!(index.len(), 13);
         assert_eq!(index.overflow_len(), 3, "small ingest buffers");
 
-        shard.apply(&all[13..], &TokenDistance, None).unwrap();
+        shard.apply(&all[13..], &TokenDistance).unwrap();
         let index = shard.index().expect("index survives ingest");
         assert_eq!(index.len(), 40);
         assert_eq!(index.overflow_len(), 0, "large ingest rebuilds");
@@ -324,9 +320,6 @@ mod tests {
             let want = range_indices(shard.matrix(), item, 0.4);
             assert_eq!(got, want, "range anchor {item}");
         }
-
-        shard.disable_index();
-        assert!(shard.index().is_none());
     }
 
     /// The chunk loop `Server::ingest_stream` runs: one apply per
@@ -337,7 +330,7 @@ mod tests {
         measure: &M,
     ) -> Result<(), ServerError> {
         for chunk in chunks.iter().filter(|c| !c.is_empty()) {
-            shard.apply(chunk, measure, None)?;
+            shard.apply(chunk, measure)?;
         }
         Ok(())
     }
@@ -346,7 +339,7 @@ mod tests {
     fn ingest_stream_matches_one_shot_ingest() {
         let all = queries(15);
         let mut oracle = Shard::new();
-        oracle.apply(&all, &TokenDistance, None).unwrap();
+        oracle.apply(&all, &TokenDistance).unwrap();
         let mut shard = Shard::new();
         let chunks: Vec<Vec<Query>> = vec![
             all[..4].to_vec(),
@@ -385,57 +378,65 @@ mod tests {
         let err =
             apply_chunks(&mut shard, &chunks, &FailAfter(std::cell::Cell::new(15))).unwrap_err();
         assert!(matches!(err, ServerError::Distance(_)));
-        assert_eq!(shard.len(), 5, "failing chunk fully rolled back");
+        assert_eq!(shard.len(), 5, "the failing chunk changed nothing");
         assert_eq!(shard.epoch(), 1, "only the applied chunk bumped");
         let mut oracle = Shard::new();
-        oracle.apply(&all[..5], &TokenDistance, None).unwrap();
+        oracle.apply(&all[..5], &TokenDistance).unwrap();
         assert!(shard.matrix().identical(oracle.matrix()));
     }
 
     #[test]
-    fn failed_log_step_rolls_back_and_a_good_one_sees_the_next_epoch() {
+    fn computing_cells_changes_nothing_and_commit_drops_the_plans() {
         let all = queries(12);
         let mut shard = Shard::new();
-        shard.apply(&all[..6], &TokenDistance, None).unwrap();
+        shard.apply(&all[..6], &TokenDistance).unwrap();
         shard.enable_index();
-        let before = shard.clone();
+        let cut = Request::Hierarchical {
+            shard: 0,
+            linkage: Linkage::Single,
+            k: 2,
+        };
+        let plans = shard.plans();
+        let mut metrics = ExecutionMetrics::default();
+        exec::execute(
+            &shard,
+            0,
+            &PhysicalPlan::compile(&cut),
+            Some(plans),
+            &mut metrics,
+        )
+        .unwrap();
+        assert_eq!((metrics.plan_builds, shard.plans().live()), (1, 1));
 
-        let refuse = |_| Err(DurabilityError::WalFenced { shard: 0 });
-        let err = shard
-            .apply(&all[6..], &TokenDistance, Some(&refuse))
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ServerError::Durability(DurabilityError::WalFenced { shard: 0 })
-        );
+        let before = shard.clone();
+        let cells = shard
+            .matrix()
+            .extension(shard.queries(), &all[6..], &TokenDistance)
+            .unwrap();
         assert_eq!(shard.queries(), before.queries());
         assert_eq!(shard.epoch(), before.epoch());
         assert!(shard.matrix().identical(before.matrix()));
-        assert_eq!(shard.index().map(ShardIndex::len), Some(6));
+        assert_eq!(shard.plans().live(), 1, "preparing keeps the plans");
 
-        let logged = std::cell::Cell::new(None);
-        let record = |epoch| {
-            logged.set(Some(epoch));
-            Ok(())
-        };
-        shard
-            .apply(&all[6..], &TokenDistance, Some(&record))
-            .unwrap();
-        assert_eq!(
-            logged.get(),
-            Some(2),
-            "the log step sees the post-apply epoch"
-        );
+        assert_eq!(shard.commit(&all[6..], cells), 1, "one plan dropped");
         assert_eq!(shard.epoch(), 2);
+        assert_eq!(shard.plans().live(), 0);
         let oracle = DistanceMatrix::compute(&all, &TokenDistance).unwrap();
         assert!(shard.matrix().identical(&oracle));
         assert_eq!(shard.index().map(ShardIndex::len), Some(12));
+        let after = answer(&shard, &cut).unwrap();
+        let expect: Vec<i64> = agglomerative(&oracle, Linkage::Single)
+            .cut(2)
+            .into_iter()
+            .map(|c| c as i64)
+            .collect();
+        assert!(after.bits_eq(&Response::Labels(expect)));
     }
 
     #[test]
     fn answers_agree_with_direct_mining_calls() {
         let mut shard = Shard::new();
-        shard.apply(&queries(10), &TokenDistance, None).unwrap();
+        shard.apply(&queries(10), &TokenDistance).unwrap();
         let m = shard.matrix();
 
         let knn = answer(
@@ -488,7 +489,7 @@ mod tests {
     #[test]
     fn clustering_answers_agree_with_direct_mining_calls() {
         let mut shard = Shard::new();
-        shard.apply(&queries(10), &TokenDistance, None).unwrap();
+        shard.apply(&queries(10), &TokenDistance).unwrap();
         let m = shard.matrix();
 
         let db = answer(
@@ -556,7 +557,7 @@ mod tests {
     #[test]
     fn validation_turns_panics_into_errors() {
         let mut shard = Shard::new();
-        shard.apply(&queries(4), &TokenDistance, None).unwrap();
+        shard.apply(&queries(4), &TokenDistance).unwrap();
 
         let oob = answer(
             &shard,
@@ -650,9 +651,9 @@ mod tests {
             }
         }
         let mut shard = Shard::new();
-        shard.apply(&queries(5), &TokenDistance, None).unwrap();
+        shard.apply(&queries(5), &TokenDistance).unwrap();
         let before = shard.clone();
-        let err = shard.apply(&queries(3), &Poison, None).unwrap_err();
+        let err = shard.apply(&queries(3), &Poison).unwrap_err();
         assert!(matches!(err, ServerError::Distance(_)));
         assert_eq!(shard.len(), before.len());
         assert_eq!(shard.epoch(), before.epoch());

@@ -252,8 +252,8 @@ fn mid_stream_ingest_keeps_every_clustering_phase_bit_identical() {
     let warmed = server.stats().plans;
     assert!(warmed.builds > 0);
 
-    // Mid-stream: every shard ingests a batch, bumping its epoch. Plans
-    // are invalidated lazily — nothing is rebuilt yet.
+    // Mid-stream: every shard ingests a batch, bumping its epoch. Each
+    // commit drops its shard's plans — nothing is rebuilt yet.
     for shard in 0..SHARDS {
         server
             .ingest(shard, &tenant_log(shard + 100, EXTRA))
@@ -266,7 +266,7 @@ fn mid_stream_ingest_keeps_every_clustering_phase_bit_identical() {
     );
 
     // Phase B: identical stream shape against the grown store. Every
-    // answer re-derives from the new epoch; the stale plans surface as
+    // answer re-derives from the new epoch; the dropped plans surface as
     // invalidations, never as answers.
     run_phase(&after, PER_SHARD + EXTRA);
     let final_stats = server.stats().plans;

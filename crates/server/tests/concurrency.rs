@@ -7,12 +7,17 @@
 //! and the workers' claiming order are allowed to change *when* work
 //! happens — never *what* is answered.
 
-use dpe_distance::{DistanceMatrix, TokenDistance};
+use dpe_distance::{DistanceError, DistanceMatrix, QueryDistance, TokenDistance};
+use dpe_durability::engine::SinkFactory;
+use dpe_durability::wal::{FileSink, WalSink};
+use dpe_durability::Durability;
 use dpe_mining::{knn_indices, lof, range_indices, LofConfig};
 use dpe_server::{Request, Response, Server, ServerError, Ticket};
 use dpe_sql::Query;
 use dpe_workload::{LogConfig, LogGenerator};
-use std::sync::Barrier;
+use std::path::Path;
+use std::sync::{mpsc, Arc, Barrier, Condvar, Mutex};
+use std::time::Duration;
 
 const SHARDS: usize = 4;
 
@@ -432,4 +437,232 @@ fn every_request_answered_exactly_once_at_any_thread_count() {
         assert_eq!(drained_stats.served - after.served, valid as u64);
         assert_eq!(drained_stats.batches - after.batches, SHARDS as u64);
     }
+}
+
+/// A spot an ingest parks in: once armed, the next call to [`Gate::pass`]
+/// reports in and waits until [`Gate::release`].
+#[derive(Debug, Default)]
+struct Gate {
+    state: Mutex<GateState>,
+    changed: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct GateState {
+    armed: bool,
+    parked: bool,
+    released: bool,
+}
+
+impl Gate {
+    fn arm(&self) {
+        self.state.lock().unwrap().armed = true;
+    }
+
+    fn pass(&self) {
+        let mut state = self.state.lock().unwrap();
+        if !std::mem::take(&mut state.armed) {
+            return;
+        }
+        state.parked = true;
+        self.changed.notify_all();
+        while !state.released {
+            state = self.changed.wait(state).unwrap();
+        }
+    }
+
+    /// `true` once a caller is parked, `false` after `timeout`.
+    fn wait_parked(&self, timeout: Duration) -> bool {
+        let state = self.state.lock().unwrap();
+        let (state, _) = self
+            .changed
+            .wait_timeout_while(state, timeout, |s| !s.parked)
+            .unwrap();
+        state.parked
+    }
+
+    fn release(&self) {
+        self.state.lock().unwrap().released = true;
+        self.changed.notify_all();
+    }
+}
+
+/// Token distance whose calls pass through a [`Gate`].
+#[derive(Debug)]
+struct GatedDistance(Arc<Gate>);
+
+impl QueryDistance for GatedDistance {
+    fn distance(&self, a: &Query, b: &Query) -> Result<f64, DistanceError> {
+        self.0.pass();
+        TokenDistance.distance(a, b)
+    }
+
+    fn name(&self) -> &'static str {
+        "gated-token"
+    }
+}
+
+/// WAL sinks whose `sync` passes through a [`Gate`].
+struct GatedSyncs(Arc<Gate>);
+
+impl SinkFactory for GatedSyncs {
+    fn open_wal(&self, _shard: usize, path: &Path) -> std::io::Result<Box<dyn WalSink>> {
+        Ok(Box::new(GatedSink(
+            FileSink::open(path)?,
+            Arc::clone(&self.0),
+        )))
+    }
+}
+
+struct GatedSink(FileSink, Arc<Gate>);
+
+impl WalSink for GatedSink {
+    fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.0.append(bytes)
+    }
+
+    fn sync(&mut self) -> std::io::Result<()> {
+        self.1.pass();
+        self.0.sync()
+    }
+
+    fn truncate_to(&mut self, keep: u64) -> std::io::Result<()> {
+        self.0.truncate_to(keep)
+    }
+}
+
+/// Arms `gate`, starts an ingest of `more` into shard 0 and, once it is
+/// parked at the gate, reads shard 0 from another thread. The read must
+/// finish while the ingest stays parked and see the pre-ingest store;
+/// after the release the ingest lands. Every wait is bounded, and the
+/// gate is released before any assertion, so a reader that blocks on the
+/// ingest fails the test instead of hanging it.
+fn reader_sees_the_old_store_while_ingest_is_parked<M: QueryDistance + Sync>(
+    server: &Server<M>,
+    gate: &Gate,
+    more: &[Query],
+) {
+    let request = Request::Knn {
+        shard: 0,
+        item: 0,
+        k: 64,
+    };
+    let before = server.serve_one_uncached(&request).unwrap();
+    let epoch = server.shard_epoch(0).unwrap();
+    gate.arm();
+    std::thread::scope(|scope| {
+        let ingest = scope.spawn(|| server.ingest(0, more));
+        let parked = gate.wait_parked(Duration::from_secs(30));
+        let (tx, rx) = mpsc::channel();
+        if parked {
+            let request = &request;
+            scope.spawn(move || {
+                let read = (
+                    server.shard_epoch(0).unwrap(),
+                    server.serve_one_uncached(request).unwrap(),
+                );
+                let _ = tx.send(read);
+            });
+        }
+        let read = rx.recv_timeout(Duration::from_secs(5));
+        gate.release();
+        assert!(parked, "the ingest never reached the gate");
+        let (seen_epoch, seen) = read.expect("a reader of the shard waited for the parked ingest");
+        assert_eq!(seen_epoch, epoch, "the parked ingest is not visible yet");
+        assert!(seen.bits_eq(&before), "the reader saw a changed store");
+        ingest.join().unwrap().unwrap();
+    });
+    assert_eq!(server.shard_epoch(0).unwrap(), epoch + 1);
+    let after = server.serve_one_uncached(&request).unwrap();
+    assert!(!after.bits_eq(&before), "the released ingest landed");
+}
+
+#[test]
+fn reader_is_served_while_ingest_is_parked_in_a_distance_call() {
+    let gate = Arc::new(Gate::default());
+    let server = Server::builder(GatedDistance(Arc::clone(&gate))).build();
+    server.ingest(0, &tenant_log(0, 10)).unwrap();
+    reader_sees_the_old_store_while_ingest_is_parked(&server, &gate, &tenant_log(1, 4));
+}
+
+#[test]
+fn reader_is_served_while_ingest_is_parked_in_wal_sync() {
+    let dir = std::env::temp_dir().join(format!("dpe-parked-sync-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let gate = Arc::new(Gate::default());
+    let engine = Durability::create_with(&dir, 1, &GatedSyncs(Arc::clone(&gate))).unwrap();
+    let server = Server::builder(TokenDistance)
+        .durability_engine(Arc::new(engine))
+        .build();
+    server.ingest(0, &tenant_log(0, 10)).unwrap();
+    reader_sees_the_old_store_while_ingest_is_parked(&server, &gate, &tenant_log(1, 4));
+    drop(server);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A checkpoint that starts while an ingest is parked in WAL sync must wait
+/// for that ingest's commit: had it cut the snapshot first, its WAL reset
+/// would erase an acknowledged batch the snapshot does not hold.
+#[test]
+fn checkpoint_waits_for_an_ingest_parked_in_wal_sync() {
+    let dir = std::env::temp_dir().join(format!("dpe-parked-checkpoint-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let gate = Arc::new(Gate::default());
+    let engine = Durability::create_with(&dir, 2, &GatedSyncs(Arc::clone(&gate))).unwrap();
+    let server = Server::builder(TokenDistance)
+        .shards(2)
+        .durability_engine(Arc::new(engine))
+        .build();
+    let oracle = Server::builder(TokenDistance).shards(2).build();
+    let (first, second, other) = (tenant_log(0, 8), tenant_log(1, 4), tenant_log(2, 5));
+    for (shard, log) in [(0, &first), (1, &other)] {
+        server.ingest(shard, log).unwrap();
+        oracle.ingest(shard, log).unwrap();
+    }
+    oracle.ingest(0, &second).unwrap();
+
+    gate.arm();
+    std::thread::scope(|scope| {
+        let ingest = scope.spawn(|| server.ingest(0, &second));
+        let parked = gate.wait_parked(Duration::from_secs(30));
+        let checkpoint = scope.spawn(|| server.checkpoint());
+        // Give the checkpoint time to run ahead of the parked ingest. The
+        // sleep only sets how likely a checkpoint that ignores the ingest
+        // is caught; a correct one passes whatever the timing.
+        std::thread::sleep(Duration::from_millis(100));
+        gate.release();
+        assert!(parked, "the ingest never reached the gate");
+        ingest.join().unwrap().unwrap();
+        checkpoint.join().unwrap().unwrap();
+    });
+    drop(server);
+
+    let recovered = Server::builder(TokenDistance)
+        .durability(&dir)
+        .recover()
+        .unwrap();
+    assert_eq!(
+        recovered.shard_epoch(0).unwrap(),
+        2,
+        "no acknowledged batch lost"
+    );
+    for shard in 0..2 {
+        for request in [
+            Request::Knn {
+                shard,
+                item: 1,
+                k: 20,
+            },
+            Request::Lof { shard, min_pts: 3 },
+        ] {
+            assert!(
+                recovered
+                    .serve_one_uncached(&request)
+                    .unwrap()
+                    .bits_eq(&oracle.serve_one_uncached(&request).unwrap()),
+                "{request:?}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -252,6 +252,85 @@ fn recovered_server_is_bit_identical_across_every_request_variant() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Checkpoints racing ingests on several shards. A checkpoint holds every
+/// shard's writer gate, so each snapshot is one cross-shard cut and no
+/// batch can be logged between a snapshot and the WAL reset behind it.
+/// Recovery must return exactly the acknowledged batches, bit-identical
+/// to an in-memory oracle that ingested them in the same per-shard order.
+#[test]
+fn checkpoints_racing_ingests_recover_exactly_the_acknowledged_batches() {
+    const SHARDS: usize = 3;
+    const BATCHES: usize = 16;
+    let dir = tmp("checkpoint-race");
+    let durable = Server::builder(TokenDistance)
+        .shards(SHARDS)
+        .durability(&dir)
+        .build();
+    let batches = |shard: usize| -> Vec<Vec<Query>> {
+        (0..BATCHES)
+            .map(|b| batch((200 + shard * BATCHES + b) as u64, 2 + (shard + b) % 3))
+            .collect()
+    };
+
+    let checkpoints = std::thread::scope(|scope| {
+        let writers: Vec<_> = (0..SHARDS)
+            .map(|shard| {
+                let (durable, batches) = (&durable, &batches);
+                scope.spawn(move || {
+                    for b in batches(shard) {
+                        durable.ingest(shard, &b).unwrap();
+                    }
+                })
+            })
+            .collect();
+        let mut checkpoints = 0u64;
+        while checkpoints < 2 || !writers.iter().all(|w| w.is_finished()) {
+            durable.checkpoint().unwrap();
+            checkpoints += 1;
+        }
+        checkpoints
+    });
+    // One more batch past the last snapshot, so recovery also replays a
+    // WAL tail.
+    let tail = batch(299, 3);
+    durable.ingest(0, &tail).unwrap();
+    let stats = durable
+        .stats()
+        .durability
+        .expect("durable server has stats");
+    assert_eq!(stats.checkpoints, checkpoints);
+    drop(durable);
+
+    let oracle = Server::builder(TokenDistance).shards(SHARDS).build();
+    for shard in 0..SHARDS {
+        for b in batches(shard) {
+            oracle.ingest(shard, &b).unwrap();
+        }
+    }
+    oracle.ingest(0, &tail).unwrap();
+    let recovered = Server::builder(TokenDistance)
+        .durability(&dir)
+        .recover()
+        .unwrap();
+    for shard in 0..SHARDS {
+        let acknowledged = BATCHES as u64 + u64::from(shard == 0);
+        assert_eq!(
+            recovered.shard_epoch(shard).unwrap(),
+            acknowledged,
+            "shard {shard}"
+        );
+        assert_eq!(
+            recovered.shard_len(shard).unwrap(),
+            oracle.shard_len(shard).unwrap(),
+            "shard {shard}"
+        );
+    }
+    recovered.register_sql_table(pairs_binding(1)).unwrap();
+    oracle.register_sql_table(pairs_binding(1)).unwrap();
+    assert_servers_agree(&recovered, &oracle, SHARDS, "checkpoint race");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The history both sweeps cut at every record.
 fn sweep_batches() -> Vec<Vec<Query>> {
     vec![

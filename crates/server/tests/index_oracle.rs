@@ -11,7 +11,7 @@
 use dpe_distance::{DistanceMatrix, TokenDistance};
 use dpe_mining::{knn_among, knn_indices, lof_outliers, range_among, range_indices, LofConfig};
 use dpe_server::{OutlierRule, PlanOp, Request, Response, Server, Ticket};
-use dpe_sql::Query;
+use dpe_sql::{parse_query, Query};
 use dpe_workload::{LogConfig, LogGenerator};
 use std::sync::Barrier;
 
@@ -313,4 +313,40 @@ fn index_path_after_a_reordering_op_matches_plain() {
         pruned > 0,
         "the index path was never taken after the reorder"
     );
+}
+
+/// The case that exposed position/id confusion on the index path: a
+/// zero-threshold LOF outlier op keeps all n items, reordered by score, so
+/// the `Knn` after it takes the index path and must read item ids.
+#[test]
+fn knn_after_a_zero_threshold_lof_outlier_op_matches_plain() {
+    let queries: Vec<Query> = (0..12)
+        .map(|i| {
+            parse_query(&format!(
+                "SELECT a{}, b{} FROM t{} WHERE x = {}",
+                i % 4,
+                i % 7,
+                i % 3,
+                i % 5
+            ))
+            .unwrap()
+        })
+        .collect();
+    let indexed = Server::builder(TokenDistance).metric_index(true).build();
+    let plain = Server::builder(TokenDistance).build();
+    indexed.ingest(0, &queries).unwrap();
+    plain.ingest(0, &queries).unwrap();
+    let request = Request::Pipeline {
+        shard: 0,
+        ops: vec![
+            PlanOp::Outliers(OutlierRule::LofThreshold {
+                min_pts: 2,
+                threshold: 0.0,
+            }),
+            PlanOp::Knn { item: 0, k: 4 },
+        ],
+    };
+    let got = indexed.serve_one_uncached(&request).unwrap();
+    let want = plain.serve_one_uncached(&request).unwrap();
+    assert!(got.bits_eq(&want), "indexed {got:?} vs plain {want:?}");
 }

@@ -1,12 +1,12 @@
-//! Regression suite for the clustering plan cache's epoch lifecycle.
+//! Regression suite for the lifecycle of a shard's clustering plans.
 //!
-//! The bug class being pinned: a dendrogram cached before an `ingest`
-//! being served afterwards. Plans are keyed by (shard, epoch, linkage)
-//! with *lazy* invalidation — the ingest path never scans anything; the
-//! first plan lookup after the epoch bump drops the stale dendrogram and
-//! rebuilds. The cold-vs-warm build/hit counters exposed by
-//! [`Server::stats`] are pinned exactly, so a silent regression in
-//! either direction (rebuild-per-request, or stale-serve) fails loudly.
+//! The bug class being pinned: a dendrogram built before an `ingest`
+//! being served afterwards. A shard holds at most one plan per linkage,
+//! and the ingest commit drops them all under the shard's write lock, so
+//! the first cut after the commit rebuilds over the grown store. The
+//! cold-vs-warm build/hit counters exposed by [`Server::stats`] are
+//! pinned exactly, so a silent regression in either direction
+//! (rebuild-per-request, or stale-serve) fails loudly.
 
 use dpe_distance::TokenDistance;
 use dpe_mining::Linkage;
@@ -76,7 +76,7 @@ fn cold_then_warm_counters_are_exact() {
 }
 
 #[test]
-fn epoch_bump_invalidates_the_plan_lazily() {
+fn ingest_commit_invalidates_the_plan_eagerly() {
     const N: usize = 10;
     const EXTRA: usize = 3;
     let server = build_server(N);
@@ -87,8 +87,8 @@ fn epoch_bump_invalidates_the_plan_lazily() {
     let warmed = server.stats().plans;
     assert_eq!((warmed.builds, warmed.invalidations), (1, 0));
 
-    // Ingest: epoch bumps, but invalidation is lazy — nothing rebuilt,
-    // the stale plan still counted live until next touched.
+    // Ingest: the commit drops the plan at once — nothing rebuilt, and
+    // no stale plan left live.
     let extra = LogGenerator::generate(&LogConfig {
         queries: EXTRA,
         seed: 0xFEED,
@@ -97,13 +97,17 @@ fn epoch_bump_invalidates_the_plan_lazily() {
     server.ingest(0, &extra).unwrap();
     let after_ingest = server.stats().plans;
     assert_eq!(
-        (after_ingest.builds, after_ingest.invalidations),
-        (1, 0),
-        "ingest must not eagerly touch plans"
+        (
+            after_ingest.builds,
+            after_ingest.invalidations,
+            after_ingest.live
+        ),
+        (1, 1, 0),
+        "the commit drops the plan and builds nothing"
     );
 
     // A cached dendrogram served now would yield N labels — that is the
-    // bug this test exists to catch. The epoch key forces a rebuild over
+    // bug this test exists to catch. The empty slot forces a rebuild over
     // the grown store instead.
     let after = &server.serve_batch(&[cut(0, 2)], 1)[0];
     assert_eq!(
@@ -115,7 +119,7 @@ fn epoch_bump_invalidates_the_plan_lazily() {
     assert_eq!(
         (rebuilt.builds, rebuilt.invalidations, rebuilt.live),
         (2, 1, 1),
-        "exactly one invalidation + one rebuild after the epoch bump"
+        "exactly one invalidation + one rebuild after the ingest"
     );
     // And the rebuilt answer is the uncached oracle's.
     let oracle = server.serve_one_uncached(&cut(0, 2)).unwrap();

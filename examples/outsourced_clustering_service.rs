@@ -1,16 +1,16 @@
 //! Outsourced clustering as a service: the provider serves whole-shard
 //! clustering — DBSCAN, k-medoids, hierarchical cuts at every granularity,
 //! frequent feature itemsets — over DPE-encrypted tenant logs, with the
-//! dendrogram built **once** per (shard, epoch, linkage) and reused for
-//! every cut.
+//! dendrogram built **once** per (shard, linkage) between two ingests and
+//! reused for every cut.
 //!
 //! The scenario: each tenant's analysts want the same encrypted log
 //! clustered at many granularities (k = 2, 3, 4, …) — the classic
 //! dendrogram use case. Naively that is one O(n³) agglomeration per
-//! request; the serving engine's plan cache pays it once and answers the
-//! whole sweep from the cached merge list. A streaming ingest then bumps
-//! the epoch: the next cut lazily drops the stale plan and rebuilds over
-//! the grown store, and a plaintext twin confirms every answer stayed
+//! request; each shard's plan slots pay it once and answer the whole sweep
+//! from the cached merge list. A streaming ingest then commits: it bumps
+//! the epoch and drops the shard's plans, the next cut rebuilds over the
+//! grown store, and a plaintext twin confirms every answer stayed
 //! bit-identical throughout.
 //!
 //! Run: `cargo run --release --example outsourced_clustering_service`
@@ -128,8 +128,9 @@ fn main() {
         requests.len()
     );
 
-    // 4. A fresh encrypted batch streams in on tenant 0 — the epoch bumps,
-    //    and the *next* cut rebuilds its plan against the grown store.
+    // 4. A fresh encrypted batch streams in on tenant 0 — its commit bumps
+    //    the epoch and drops the plan; the *next* cut rebuilds it against
+    //    the grown store.
     let update = LogGenerator::generate(&LogConfig {
         queries: 6,
         seed: 0xFEED,
@@ -152,7 +153,7 @@ fn main() {
         post_plans.invalidations,
         post_plans.builds
     );
-    assert_eq!(post_plans.invalidations, 1, "stale plan dropped lazily");
+    assert_eq!(post_plans.invalidations, 1, "stale plan dropped at commit");
 
     // The post-ingest recut must match the twin's view of the grown store.
     let expect_post = twin.serve_one_uncached(&recut).expect("twin");
