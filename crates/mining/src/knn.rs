@@ -20,31 +20,52 @@ pub fn knn_among(
     k: usize,
     candidates: impl IntoIterator<Item = usize>,
 ) -> Vec<usize> {
-    let n = matrix.len();
-    assert!(i < n, "query index {i} out of bounds (n={n})");
-    let mut others: Vec<usize> = candidates.into_iter().filter(|&j| j != i).collect();
-    // O(n) selection of the k winners before the O(k log k) sort, instead
-    // of sorting all candidates. The comparator is a strict total order
-    // (ties split on index), so the selected set and its sorted order are
-    // exactly the full sort's prefix — bit-identical.
-    if k < others.len() {
-        if k == 0 {
-            others.clear();
-        } else {
-            others.select_nth_unstable_by(k - 1, |&a, &b| neighbour_cmp(matrix, i, a, b));
-            others.truncate(k);
-        }
-    }
-    others.sort_by(|&a, &b| neighbour_cmp(matrix, i, a, b));
-    others
+    let mut row = Vec::new();
+    select_kth(matrix, i, k, candidates, &mut row);
+    row.truncate(k);
+    row.sort_unstable_by(neighbour_cmp);
+    row.into_iter().map(|(_, j)| j).collect()
 }
 
-/// The neighbour order of `a` and `b` seen from `i`. A named fn forced
-/// inline, not one closure shared by the select and the sort: LLVM kept
-/// that closure out of line, and LOF's row sort ran about 20% slower.
+/// The ranked-row kernel. Fills `row` (cleared first, so one buffer
+/// serves many rows) with the `(distance, index)` pair of every candidate
+/// other than `i`, then selects in O(n): the `k`-th nearest pair in
+/// neighbour order lands at `row[k − 1]`, every nearer pair before it and
+/// every farther one after, each side unordered. With `k` = 0 or `k` >
+/// the number of pairs nothing is selected.
+///
+/// Ranking gathered pairs reads each distance once, where ranking bare
+/// indices read two per comparison. [`neighbour_cmp`] is strict and
+/// total, so a selection then a sort of a prefix is exactly the full
+/// sort's prefix, bit-identical.
+pub(crate) fn select_kth(
+    matrix: &DistanceMatrix,
+    i: usize,
+    k: usize,
+    candidates: impl IntoIterator<Item = usize>,
+    row: &mut Vec<(f64, usize)>,
+) {
+    let n = matrix.len();
+    assert!(i < n, "query index {i} out of bounds (n={n})");
+    row.clear();
+    row.extend(
+        candidates
+            .into_iter()
+            .filter(|&j| j != i)
+            .map(|j| (matrix.get(i, j), j)),
+    );
+    if (1..=row.len()).contains(&k) {
+        row.select_nth_unstable_by(k - 1, neighbour_cmp);
+    }
+}
+
+/// The neighbour order on gathered pairs: distance by [`nan_last_cmp`],
+/// then the lower index. Strict and total over distinct indices. A named
+/// fn forced inline: a closure shared by a select and a sort stayed out
+/// of line and once cost LOF's row sort about 20%.
 #[inline(always)]
-fn neighbour_cmp(matrix: &DistanceMatrix, i: usize, a: usize, b: usize) -> Ordering {
-    nan_last_cmp(matrix.get(i, a), matrix.get(i, b)).then(a.cmp(&b))
+pub(crate) fn neighbour_cmp(a: &(f64, usize), b: &(f64, usize)) -> Ordering {
+    nan_last_cmp(a.0, b.0).then(a.1.cmp(&b.1))
 }
 
 #[cfg(test)]

@@ -26,10 +26,12 @@
 //!
 //! Algorithms are deterministic: ties break on the lower index, k-medoids
 //! seeds with a deterministic greedy (no RNG), so equal distance matrices
-//! imply equal outputs — no flaky "identical" assertions. One routine,
-//! [`knn_among`], ranks rows in the one neighbour order (distance NaN-last
-//! by [`dpe_distance::nan_last_cmp`], then index); each LOF row is
-//! `knn_among(matrix, i, n − 1, 0..n)`.
+//! imply equal outputs — no flaky "identical" assertions. There is one
+//! neighbour order, on `(distance, index)` pairs: distance NaN-last by
+//! [`dpe_distance::nan_last_cmp`], then index. One private kernel gathers
+//! a row's pairs and selects the k-th in that order; [`knn_among`] sorts
+//! the k before it, and [`lof()`] keeps every pair within the k-th's
+//! distance and sorts only those.
 
 #![forbid(unsafe_code)]
 

@@ -18,9 +18,16 @@
 //! Scores ≈ 1 mean inlier; scores substantially above 1 mean the point is
 //! locally sparse. Duplicate-heavy data can make `lrd` infinite; ∞/∞
 //! ratios are taken as 1, following the reference implementation folklore.
+//!
+//! Neighbourhoods come from the crate's one neighbour order, a single
+//! comparator on `(distance, index)` pairs (distance NaN-last, then
+//! index). Each row is gathered once into one reused buffer, the k-th
+//! pair is selected rather than the row sorted, the pairs within its
+//! distance are kept, and only those m = |N_k| are sorted. A call costs
+//! O(n·(n + m log m)) time and one row buffer beside the flat
+//! neighbourhoods.
 
-use crate::knn::knn_among;
-use crate::range::range_among;
+use crate::knn::{neighbour_cmp, select_kth};
 use dpe_distance::{nan_last_cmp, DistanceMatrix};
 
 /// Configuration for [`lof`].
@@ -33,7 +40,15 @@ pub struct LofConfig {
 /// Computes the LOF score of every point from the distance matrix.
 ///
 /// Returns one score per point. Points whose neighbourhood density equals
-/// their neighbours' get ≈ 1.0; isolated points get > 1.
+/// their neighbours' get ≈ 1.0; isolated points get > 1. A point with
+/// fewer than `min_pts` non-NaN distances has a NaN k-distance, an empty
+/// neighbourhood and a NaN score.
+///
+/// Per row: gather the `(distance, index)` pairs, select the k-th in the
+/// neighbour order, keep the pairs at most its distance (ties kept, NaN
+/// dropped) and sort those m; O(n·(n + m log m)) in all. The scores are
+/// bit-identical to ranking each row by a full sort, except that the sign
+/// of a NaN score (0/0, an empty neighbourhood) is left to the compiler.
 ///
 /// # Panics
 ///
@@ -49,37 +64,44 @@ pub fn lof(matrix: &DistanceMatrix, config: LofConfig) -> Vec<f64> {
         k + 1
     );
 
-    // k-distance and k-neighbourhood (with ties) per point.
+    // k-distance and k-neighbourhood (with ties) per point, the
+    // neighbourhoods flat: point i's are `neigh[ends[i]..ends[i + 1]]`.
     let mut kdist = vec![0.0f64; n];
-    let mut neigh: Vec<Vec<usize>> = Vec::with_capacity(n);
+    let mut neigh: Vec<usize> = Vec::new();
+    let mut ends: Vec<usize> = vec![0];
+    let mut row = Vec::with_capacity(n - 1);
     for (i, kd_slot) in kdist.iter_mut().enumerate() {
-        // The whole row in neighbour order: a NaN distance (either sign)
-        // sorts last, so it never lands in the k-neighbourhood spuriously.
-        let others = knn_among(matrix, i, n - 1, 0..n);
-        let kd = matrix.get(i, others[k - 1]);
+        select_kth(matrix, i, k, 0..n, &mut row);
+        let kd = row[k - 1].0;
         *kd_slot = kd;
-        // All points within the k-distance — ties beyond index k included.
-        neigh.push(range_among(matrix, i, kd, others));
+        // Everything within the k-distance, ties beyond the k-th included.
+        // A NaN distance (either sign) never qualifies, and a NaN
+        // k-distance (fewer than k non-NaN distances) keeps nothing.
+        row.retain(|&(d, _)| d <= kd);
+        row.sort_unstable_by(neighbour_cmp);
+        neigh.extend(row.iter().map(|&(_, o)| o));
+        ends.push(neigh.len());
     }
+    let around = |i: usize| &neigh[ends[i]..ends[i + 1]];
 
     // Local reachability density.
     let mut lrd = vec![0.0f64; n];
-    for i in 0..n {
-        let sum: f64 = neigh[i]
+    for (i, lrd_i) in lrd.iter_mut().enumerate() {
+        let sum: f64 = around(i)
             .iter()
             .map(|&o| matrix.get(i, o).max(kdist[o]))
             .sum();
-        lrd[i] = if sum == 0.0 {
+        *lrd_i = if sum == 0.0 {
             f64::INFINITY // all neighbours are duplicates of i
         } else {
-            neigh[i].len() as f64 / sum
+            around(i).len() as f64 / sum
         };
     }
 
     // LOF = mean neighbour-lrd ratio.
     (0..n)
         .map(|i| {
-            let ratios: Vec<f64> = neigh[i]
+            let sum: f64 = around(i)
                 .iter()
                 .map(|&o| {
                     if lrd[o].is_infinite() && lrd[i].is_infinite() {
@@ -88,8 +110,8 @@ pub fn lof(matrix: &DistanceMatrix, config: LofConfig) -> Vec<f64> {
                         lrd[o] / lrd[i]
                     }
                 })
-                .collect();
-            ratios.iter().sum::<f64>() / ratios.len() as f64
+                .sum();
+            sum / around(i).len() as f64
         })
         .collect()
 }
