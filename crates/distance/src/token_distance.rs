@@ -1,26 +1,36 @@
 //! Token-based query-string distance (the paper's Definition 3).
+//!
+//! The provider's whole ingest and WAL-replay cost is this measure, so it
+//! counts instead of building sets: each query is walked once into a
+//! [`TokenSketch`](dpe_sql::TokenSketch), whose keywords and punctuation
+//! are bits of one `u64` and whose identifiers and constants are a short
+//! sorted list. `|A ∩ B|` is a popcount plus one merge of the two lists,
+//! and the f64 comes from the same `1 − i/u` as [`jaccard_distance`], so
+//! every distance is bit-identical to the Jaccard distance of the lexed
+//! token sets (`tests/token_walk.rs`, plaintext and `TokenDpe` ciphertext
+//! logs).
 
-use crate::jaccard::{jaccard_distance, jaccard_distance_sorted};
+use crate::jaccard::{from_counts, jaccard_distance};
 use crate::measure::{DistanceError, QueryDistance};
-use dpe_sql::{query_tokens, token_set, Query};
+use dpe_sql::{token_set, token_sketch, Query};
 
 /// `d_Token(Q1, Q2) = 1 − |tokens(Q1) ∩ tokens(Q2)| / |tokens(Q1) ∪ tokens(Q2)|`.
 ///
 /// The result equals, bit for bit, the Jaccard distance of the token sets
 /// lexed from the two canonical renderings (`dpe_sql::token_set_of_text`,
-/// the oracle). It is computed without rendering: each query's AST is
-/// walked once into a sorted token list ([`query_tokens`]) and the two lists
-/// are merge-counted, several times cheaper than rendering and re-lexing
-/// (README, "Perf trajectory"). A query the walk cannot spell falls back to
-/// [`token_set`] on both sides, and a rendering that does not lex is
-/// [`DistanceError::Unlexable`].
+/// the oracle). It is computed without rendering, and without a set: each
+/// query's AST is walked once into a sketch ([`token_sketch`]) and the
+/// sizes `|A|`, `|B|` and `|A ∩ B|` are counted from the two sketches
+/// (README, "Token distance cost"). A query the walk cannot spell falls
+/// back to [`token_set`] on both sides, and a rendering that does not lex
+/// is [`DistanceError::Unlexable`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TokenDistance;
 
 impl QueryDistance for TokenDistance {
     fn distance(&self, a: &Query, b: &Query) -> Result<f64, DistanceError> {
-        Ok(match (query_tokens(a), query_tokens(b)) {
-            (Some(ta), Some(tb)) => jaccard_distance_sorted(&ta, &tb),
+        Ok(match (token_sketch(a), token_sketch(b)) {
+            (Some(ta), Some(tb)) => from_counts(ta.count(), tb.count(), ta.common(&tb)),
             _ => jaccard_distance(&token_set(a)?, &token_set(b)?),
         })
     }

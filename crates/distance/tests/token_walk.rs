@@ -1,7 +1,11 @@
 //! `TokenDistance` computes Definition 3 by walking the two ASTs; these
 //! tests pin it, bit for bit, to the Jaccard distance of the token sets
-//! lexed from the canonical renderings (the text oracle).
+//! lexed from the canonical renderings (the text oracle), on plaintext
+//! logs, on the same logs as the owner uploads them (`TokenDpe`
+//! ciphertexts: hex identifiers, `'x…'` strings), and on hand-built ASTs.
 
+use dpe_core::{QueryEncryptor, TokenDpe};
+use dpe_crypto::MasterKey;
 use dpe_distance::{jaccard_distance, QueryDistance, TokenDistance};
 use dpe_sql::tokens::token_set_of_text;
 use dpe_sql::{parse_query, query_tokens, ColumnRef, Query, SelectItem};
@@ -39,6 +43,25 @@ proptest! {
             prop_assert!(query_tokens(q).is_some(), "generated query fell back: {}", q);
         }
         assert_bits_match(&log);
+    }
+
+    #[test]
+    fn token_distance_bits_equal_relex_jaccard_on_ciphertexts(seed in any::<u64>()) {
+        let log = LogGenerator::generate(&LogConfig {
+            queries: 24,
+            seed,
+            ..Default::default()
+        });
+        let mut key = [0u8; 32];
+        key[..8].copy_from_slice(&seed.to_le_bytes());
+        let enc = TokenDpe::new(&MasterKey::from_bytes(key))
+            .encrypt_log(&log)
+            .unwrap();
+        for q in &enc {
+            prop_assert!(q.from.name.starts_with('x'), "not a ciphertext: {}", q);
+            prop_assert!(query_tokens(q).is_some(), "encrypted query fell back: {}", q);
+        }
+        assert_bits_match(&enc);
     }
 }
 

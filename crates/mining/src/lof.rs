@@ -42,13 +42,14 @@ pub struct LofConfig {
 /// Returns one score per point. Points whose neighbourhood density equals
 /// their neighbours' get ≈ 1.0; isolated points get > 1. A point with
 /// fewer than `min_pts` non-NaN distances has a NaN k-distance, an empty
-/// neighbourhood and a NaN score.
+/// neighbourhood and the score `f64::NAN` (the positive quiet NaN, whatever
+/// the build: 0/0 would leave the sign to the compiler, and two answers
+/// compared by their bits would then differ between builds).
 ///
 /// Per row: gather the `(distance, index)` pairs, select the k-th in the
 /// neighbour order, keep the pairs at most its distance (ties kept, NaN
 /// dropped) and sort those m; O(n·(n + m log m)) in all. The scores are
-/// bit-identical to ranking each row by a full sort, except that the sign
-/// of a NaN score (0/0, an empty neighbourhood) is left to the compiler.
+/// bit-identical to ranking each row by a full sort.
 ///
 /// # Panics
 ///
@@ -101,6 +102,9 @@ pub fn lof(matrix: &DistanceMatrix, config: LofConfig) -> Vec<f64> {
     // LOF = mean neighbour-lrd ratio.
     (0..n)
         .map(|i| {
+            if around(i).is_empty() {
+                return f64::NAN;
+            }
             let sum: f64 = around(i)
                 .iter()
                 .map(|&o| {
@@ -169,6 +173,27 @@ mod tests {
         assert!(scores.iter().all(|s| !s.is_nan()), "{scores:?}");
         // The duplicate triple is maximally dense: LOF = 1 (∞/∞ convention).
         assert!((scores[0] - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn nan_row_scores_the_positive_quiet_nan() {
+        // Point 0's distances are all the runtime 0/0 NaN (negative on
+        // x86-64), so it has no neighbours for any k, and at k = 5 no point
+        // has five non-NaN distances. Every such score is still exactly
+        // `f64::NAN`.
+        let nan = std::hint::black_box(0.0f64) / std::hint::black_box(0.0f64);
+        let m = DistanceMatrix::from_fn(6, |i, j| if i == 0 || j == 0 { nan } else { 1.0 });
+        for k in 1..6 {
+            let scores = lof(&m, LofConfig { min_pts: k });
+            let empty = if k < 5 { 1 } else { 6 };
+            for (i, s) in scores.iter().enumerate() {
+                if i < empty {
+                    assert_eq!(s.to_bits(), f64::NAN.to_bits(), "k={k}, point {i}");
+                } else {
+                    assert!(!s.is_nan(), "k={k}, point {i}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! with `range_among`. `lof` and `lof_outliers` must agree with it bit for
 //! bit, for every k in 1..n, on matrices built to stress each branch:
 //! random, tie-heavy, duplicate-heavy (lrd = ∞), NaN-bearing (both NaN
-//! signs and −0.0), and a generated query log under `TokenDistance`.
+//! signs and −0.0), and a generated query log under `TokenDistance`. A
+//! point with an empty neighbourhood scores exactly `f64::NAN` in both.
 
 use dpe_distance::{nan_last_cmp, DistanceMatrix, TokenDistance};
 use dpe_mining::{knn_among, lof, lof_outliers, range_among, LofConfig};
@@ -50,7 +51,11 @@ fn reference_lof(m: &DistanceMatrix, rows: &[Vec<usize>], k: usize) -> Vec<f64> 
                     }
                 })
                 .collect();
-            ratios.iter().sum::<f64>() / ratios.len() as f64
+            if ratios.is_empty() {
+                f64::NAN
+            } else {
+                ratios.iter().sum::<f64>() / ratios.len() as f64
+            }
         })
         .collect()
 }
@@ -63,15 +68,10 @@ fn reference_outliers(scores: &[f64], threshold: f64) -> Vec<usize> {
     idx
 }
 
-/// Every score's bits, with each NaN as the one canonical NaN. A point
-/// with an empty neighbourhood scores 0/0, and Rust leaves the sign and
-/// payload of that NaN unspecified: an optimised build folds the division
-/// to +NaN in one function and leaves it to the CPU (−NaN on x86-64) in
-/// another. Which points score NaN is compared; the NaN's sign is not.
+/// Every score's bits, NaN sign and payload included: an empty
+/// neighbourhood scores exactly `f64::NAN` on both sides.
 fn bits(v: &[f64]) -> Vec<u64> {
-    v.iter()
-        .map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits())
-        .collect()
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 /// Checks `lof` against the reference for every k in 1..n, and
@@ -164,7 +164,13 @@ fn nan_bearing_matrices() {
         assert_matches_reference(&format!("nan {nan:?}"), &m, 1);
         // Point 0 with every cell NaN has a NaN k-distance for every k.
         let m = DistanceMatrix::from_fn(12, |i, j| if i == 0 || j == 0 { nan } else { 1.0 });
-        assert!(lof(&m, LofConfig { min_pts: 2 })[0].is_nan());
+        for k in 1..12 {
+            assert_eq!(
+                lof(&m, LofConfig { min_pts: k })[0].to_bits(),
+                f64::NAN.to_bits(),
+                "nan row {nan:?}, k={k}"
+            );
+        }
         assert_matches_reference(&format!("nan row {nan:?}"), &m, 1);
     }
 }

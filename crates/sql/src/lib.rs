@@ -38,7 +38,7 @@ pub use ast::{
 pub use error::SqlError;
 pub use features::{feature_set, Feature};
 pub use parser::parse_query;
-pub use tokens::{check_lexes, query_tokens, token_set};
+pub use tokens::{check_lexes, query_tokens, token_set, token_sketch, TokenSketch};
 
 #[cfg(test)]
 mod proptests {

@@ -5,22 +5,28 @@
 //! set of tokens" (Definition 3). The contract: `tokens(Q)` is the set of
 //! token spellings that [`lex`] reads from the canonical rendering
 //! `Q.to_string()`. [`token_set_of_text`] computes exactly that and is the
-//! oracle. [`query_tokens`] gets the same set without rendering or lexing:
-//! it walks the AST once, emits the tokens `Display` would print as borrowed
-//! [`QueryToken`]s, then sorts and dedups them. The two are pinned equal by
-//! the `token_walk_equals_relex_*` proptests. A query whose rendering the
-//! walk cannot reproduce token for token yields `None`, and [`token_set`]
-//! falls back to the text path; a rendering that does not lex either is an
-//! error, not a panic.
+//! oracle. [`token_sketch`] gets the same set without rendering or lexing:
+//! it walks the AST once and splits what `Display` would print in two.
+//! Keywords and punctuation, the 37 spellings of one symbol table, become
+//! bits of one `u64` mask; identifiers and constants, borrowed from the
+//! query, go into a short list that alone is sorted and deduplicated.
+//! [`TokenSketch::count`] and [`TokenSketch::common`] count a set and an
+//! intersection from that split by a popcount plus one merge, and
+//! [`query_tokens`] expands it to the sorted token list. The walk is pinned
+//! to the oracle by the `token_walk_equals_relex_*` proptests. A query
+//! whose rendering the walk cannot reproduce token for token yields
+//! `None`, and [`token_set`] falls back to the text path; a rendering that
+//! does not lex either is an error, not a panic.
 //!
 //! Keywords and operators participate (they are part of the query string);
 //! identifiers and constants are the parts encryption later replaces 1:1,
 //! which is exactly why a DET scheme preserves the Jaccard distance over
 //! these sets.
 
-use crate::ast::{AggArg, ColumnRef, Expr, Literal, Query, SelectItem};
+use crate::ast::{AggArg, AggFunc, ColumnRef, CompareOp, Expr, Literal, Query, SelectItem};
 use crate::error::SqlError;
 use crate::token::{lex, Token, KEYWORDS};
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 /// A single element of `tokens(Q)`.
@@ -64,18 +70,155 @@ impl QueryToken<'_> {
     }
 }
 
-/// `tokens(Q)` as a sorted, deduplicated list of borrowed tokens, from one
-/// walk of the AST.
+/// Every spelling the walk can emit as a [`QueryToken::Sym`]: the lexer's
+/// punctuation (with `!=` for ≠) and its [`KEYWORDS`], in ascending byte
+/// order. Bit `i` of a [`TokenSketch`]'s mask stands for `SYMBOLS[i]`, so
+/// expanding a mask from its low bit up yields `Sym` tokens already sorted.
+const SYMBOLS: [&str; 37] = [
+    "!=", "(", ")", "*", ",", ".", "<", "<=", "=", ">", ">=", "AND", "AS", "ASC", "AVG", "BETWEEN",
+    "BY", "COUNT", "DESC", "DISTINCT", "FROM", "GROUP", "IN", "INNER", "IS", "JOIN", "LIMIT",
+    "MAX", "MIN", "NOT", "NULL", "ON", "OR", "ORDER", "SELECT", "SUM", "WHERE",
+];
+
+/// Byte-wise order of two spellings, the order `str`'s `Ord` gives.
+const fn spelling_cmp(a: &str, b: &str) -> Ordering {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    let mut i = 0;
+    while i < a.len() && i < b.len() {
+        if a[i] != b[i] {
+            return if a[i] < b[i] {
+                Ordering::Less
+            } else {
+                Ordering::Greater
+            };
+        }
+        i += 1;
+    }
+    if a.len() < b.len() {
+        Ordering::Less
+    } else if a.len() > b.len() {
+        Ordering::Greater
+    } else {
+        Ordering::Equal
+    }
+}
+
+const _: () = {
+    assert!(SYMBOLS.len() <= 64, "the symbol mask is one u64");
+    let mut i = 1;
+    while i < SYMBOLS.len() {
+        assert!(
+            matches!(spelling_cmp(SYMBOLS[i - 1], SYMBOLS[i]), Ordering::Less),
+            "SYMBOLS must be in ascending byte order"
+        );
+        i += 1;
+    }
+};
+
+/// The mask bit of `spelling`. Call sites evaluate it in a `const` block,
+/// so a spelling missing from [`SYMBOLS`] fails to compile.
+const fn sym_bit(spelling: &str) -> u64 {
+    let mut i = 0;
+    while i < SYMBOLS.len() {
+        if matches!(spelling_cmp(SYMBOLS[i], spelling), Ordering::Equal) {
+            return 1 << i;
+        }
+        i += 1;
+    }
+    panic!("spelling missing from SYMBOLS")
+}
+
+/// The bit of [`CompareOp::symbol`].
+fn op_bit(op: CompareOp) -> u64 {
+    match op {
+        CompareOp::Eq => const { sym_bit("=") },
+        CompareOp::Ne => const { sym_bit("!=") },
+        CompareOp::Lt => const { sym_bit("<") },
+        CompareOp::Le => const { sym_bit("<=") },
+        CompareOp::Gt => const { sym_bit(">") },
+        CompareOp::Ge => const { sym_bit(">=") },
+    }
+}
+
+/// The bit of [`AggFunc::name`].
+fn agg_bit(func: AggFunc) -> u64 {
+    match func {
+        AggFunc::Count => const { sym_bit("COUNT") },
+        AggFunc::Sum => const { sym_bit("SUM") },
+        AggFunc::Avg => const { sym_bit("AVG") },
+        AggFunc::Min => const { sym_bit("MIN") },
+        AggFunc::Max => const { sym_bit("MAX") },
+    }
+}
+
+/// `tokens(Q)` from one walk of the AST, split for counting: keywords and
+/// punctuation as bits of one mask, identifiers and constants as a sorted,
+/// deduplicated list borrowed from the query.
+#[derive(Debug, Clone)]
+pub struct TokenSketch<'q> {
+    /// Bit `i` set when `SYMBOLS[i]` is in the set.
+    symbols: u64,
+    /// The `Word`, `Int` and `Str` tokens, sorted and deduplicated.
+    rest: Vec<QueryToken<'q>>,
+}
+
+impl TokenSketch<'_> {
+    /// `|tokens(Q)|`.
+    pub fn count(&self) -> usize {
+        self.symbols.count_ones() as usize + self.rest.len()
+    }
+
+    /// `|tokens(Q1) ∩ tokens(Q2)|`: a popcount of the shared symbols plus
+    /// one merge pass over the two sorted lists.
+    pub fn common(&self, other: &TokenSketch<'_>) -> usize {
+        let (a, b) = (&self.rest, &other.rest);
+        let (mut i, mut j) = (0, 0);
+        let mut shared = (self.symbols & other.symbols).count_ones() as usize;
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
+                    shared += 1;
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        shared
+    }
+}
+
+/// `tokens(Q)` as a [`TokenSketch`], from one walk of the AST.
 ///
 /// Returns `None` when the walk cannot reproduce the lexed rendering: an
 /// identifier that is not a lowercase `[a-z_][a-z0-9_]*` word, or is a
 /// keyword in any case, or a `LIMIT` above `i64::MAX`.
-pub fn query_tokens(query: &Query) -> Option<Vec<QueryToken<'_>>> {
-    let mut walk = Walk(Vec::with_capacity(32));
+pub fn token_sketch(query: &Query) -> Option<TokenSketch<'_>> {
+    let mut walk = Walk(TokenSketch {
+        symbols: 0,
+        rest: Vec::with_capacity(16),
+    });
     walk.query(query)?;
-    walk.0.sort_unstable();
-    walk.0.dedup();
-    Some(walk.0)
+    let mut sketch = walk.0;
+    sketch.rest.sort_unstable();
+    sketch.rest.dedup();
+    Some(sketch)
+}
+
+/// `tokens(Q)` as a sorted, deduplicated list of borrowed tokens: the
+/// [`token_sketch`]'s symbols expanded in table order, then its
+/// identifiers and constants. `None` exactly when [`token_sketch`] is.
+pub fn query_tokens(query: &Query) -> Option<Vec<QueryToken<'_>>> {
+    let sketch = token_sketch(query)?;
+    let mut tokens = Vec::with_capacity(sketch.count());
+    let mut mask = sketch.symbols;
+    while mask != 0 {
+        tokens.push(QueryToken::Sym(SYMBOLS[mask.trailing_zeros() as usize]));
+        mask &= mask - 1;
+    }
+    tokens.extend(sketch.rest);
+    Some(tokens)
 }
 
 /// Computes `tokens(Q)`: by the AST walk, or from the canonical rendering
@@ -96,7 +239,7 @@ pub fn token_set(query: &Query) -> Result<TokenSet, SqlError> {
 /// query has no token set. The AST walk settles nearly every query; the
 /// rendering is lexed only when the walk gives up.
 pub fn check_lexes(query: &Query) -> Result<(), SqlError> {
-    match query_tokens(query) {
+    match token_sketch(query) {
         Some(_) => Ok(()),
         None => lex(&query.to_string()).map(drop),
     }
@@ -117,49 +260,89 @@ pub fn token_set_of_text(sql: &str) -> Result<TokenSet, SqlError> {
         .collect())
 }
 
+/// [`WORD_BYTES`] class: the byte may start a plain word (`[a-z_]`).
+const WORD_START: u8 = 1;
+/// [`WORD_BYTES`] class: the byte may continue a plain word (`[a-z0-9_]`).
+const WORD_CONTINUE: u8 = 2;
+
+/// The word classes of every byte.
+static WORD_BYTES: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = match b as u8 {
+            b'a'..=b'z' | b'_' => WORD_START | WORD_CONTINUE,
+            b'0'..=b'9' => WORD_CONTINUE,
+            _ => 0,
+        };
+        b += 1;
+    }
+    table
+};
+
+/// The length of the longest keyword: a longer word is no keyword.
+const LONGEST_KEYWORD: usize = {
+    let mut longest = 0;
+    let mut i = 0;
+    while i < KEYWORDS.len() {
+        if KEYWORDS[i].len() > longest {
+            longest = KEYWORDS[i].len();
+        }
+        i += 1;
+    }
+    longest
+};
+
 /// `true` when `lex` reads `word`, printed between separators, back as the
-/// identifier `word` itself.
+/// identifier `word` itself. One pass over the bytes; only a word no longer
+/// than the longest keyword is compared against [`KEYWORDS`].
 fn is_plain_word(word: &str) -> bool {
-    let bytes = word.as_bytes();
-    matches!(bytes.first(), Some(b'a'..=b'z' | b'_'))
-        && bytes
+    let Some((&first, tail)) = word.as_bytes().split_first() else {
+        return false;
+    };
+    WORD_BYTES[usize::from(first)] & WORD_START != 0
+        && tail
             .iter()
-            .all(|b| matches!(b, b'a'..=b'z' | b'0'..=b'9' | b'_'))
-        && !KEYWORDS.iter().any(|k| k.eq_ignore_ascii_case(word))
+            .all(|&b| WORD_BYTES[usize::from(b)] & WORD_CONTINUE != 0)
+        && (word.len() > LONGEST_KEYWORD || !KEYWORDS.iter().any(|k| k.eq_ignore_ascii_case(word)))
 }
 
-/// Collects the tokens `Display for Query` prints (each parenthesis pair is
-/// pushed at once: only the set matters); `None` on the first token the
-/// walk cannot spell.
-struct Walk<'q>(Vec<QueryToken<'q>>);
+/// Collects the tokens `Display for Query` prints into a [`TokenSketch`]
+/// (each parenthesis pair is set at once: only the set matters); `None` on
+/// the first token the walk cannot spell.
+struct Walk<'q>(TokenSketch<'q>);
 
 impl<'q> Walk<'q> {
-    fn sym(&mut self, s: &'static str) {
-        self.0.push(QueryToken::Sym(s));
+    fn sym(&mut self, bits: u64) {
+        self.0.symbols |= bits;
+    }
+
+    fn push(&mut self, token: QueryToken<'q>) {
+        self.0.rest.push(token);
     }
 
     fn word(&mut self, word: &'q str) -> Option<()> {
         if !is_plain_word(word) {
             return None;
         }
-        self.0.push(QueryToken::Word(word));
+        self.push(QueryToken::Word(word));
         Some(())
     }
 
     fn col(&mut self, col: &'q ColumnRef) -> Option<()> {
         if let Some(table) = &col.table {
             self.word(table)?;
-            self.sym(".");
+            self.sym(const { sym_bit(".") });
         }
         self.word(&col.column)
     }
 
     fn lit(&mut self, lit: &'q Literal) {
-        self.0.push(match lit {
-            Literal::Int(v) => QueryToken::Int(*v),
-            Literal::Str(s) => QueryToken::Str(s),
-            Literal::Null => QueryToken::Sym("NULL"),
-        });
+        match lit {
+            Literal::Int(v) => self.push(QueryToken::Int(*v)),
+            Literal::Str(s) => self.push(QueryToken::Str(s)),
+            Literal::Null => self.sym(const { sym_bit("NULL") }),
+        }
     }
 
     /// A comma-separated list: the `,` appears once there are two items.
@@ -169,7 +352,7 @@ impl<'q> Walk<'q> {
         mut each: impl FnMut(&mut Self, &'q T) -> Option<()>,
     ) -> Option<()> {
         if items.len() > 1 {
-            self.sym(",");
+            self.sym(const { sym_bit(",") });
         }
         items.iter().try_for_each(|item| each(self, item))
     }
@@ -177,57 +360,52 @@ impl<'q> Walk<'q> {
     /// Mirrors `Expr::fmt_with_parens`.
     fn expr(&mut self, expr: &'q Expr, parent_prec: u8) -> Option<()> {
         if expr.precedence() < parent_prec {
-            self.sym("(");
-            self.sym(")");
+            self.sym(const { sym_bit("(") | sym_bit(")") });
         }
         match expr {
             Expr::Comparison { col, op, value } => {
                 self.col(col)?;
-                self.sym(op.symbol());
+                self.sym(op_bit(*op));
                 self.lit(value);
             }
             Expr::ColumnEq { left, right } => {
                 self.col(left)?;
-                self.sym("=");
+                self.sym(const { sym_bit("=") });
                 self.col(right)?;
             }
             Expr::Between { col, low, high } => {
                 self.col(col)?;
-                self.sym("BETWEEN");
+                self.sym(const { sym_bit("BETWEEN") | sym_bit("AND") });
                 self.lit(low);
-                self.sym("AND");
                 self.lit(high);
             }
             Expr::InList { col, list } => {
                 self.col(col)?;
-                self.sym("IN");
-                self.sym("(");
+                self.sym(const { sym_bit("IN") | sym_bit("(") | sym_bit(")") });
                 self.list(list, |w, lit| {
                     w.lit(lit);
                     Some(())
                 })?;
-                self.sym(")");
             }
             Expr::IsNull { col, negated } => {
                 self.col(col)?;
-                self.sym("IS");
+                self.sym(const { sym_bit("IS") | sym_bit("NULL") });
                 if *negated {
-                    self.sym("NOT");
+                    self.sym(const { sym_bit("NOT") });
                 }
-                self.sym("NULL");
             }
             Expr::And(a, b) => {
                 self.expr(a, 2)?;
-                self.sym("AND");
+                self.sym(const { sym_bit("AND") });
                 self.expr(b, 2)?;
             }
             Expr::Or(a, b) => {
                 self.expr(a, 1)?;
-                self.sym("OR");
+                self.sym(const { sym_bit("OR") });
                 self.expr(b, 1)?;
             }
             Expr::Not(inner) => {
-                self.sym("NOT");
+                self.sym(const { sym_bit("NOT") });
                 self.expr(inner, 4)?;
             }
         }
@@ -236,62 +414,56 @@ impl<'q> Walk<'q> {
 
     /// Mirrors `Display for Query`.
     fn query(&mut self, q: &'q Query) -> Option<()> {
-        self.sym("SELECT");
+        self.sym(const { sym_bit("SELECT") });
         if q.distinct {
-            self.sym("DISTINCT");
+            self.sym(const { sym_bit("DISTINCT") });
         }
         self.list(&q.select, |w, item| match item {
             SelectItem::Wildcard => {
-                w.sym("*");
+                w.sym(const { sym_bit("*") });
                 Some(())
             }
             SelectItem::Column(c) => w.col(c),
             SelectItem::Aggregate { func, arg } => {
-                w.sym(func.name());
-                w.sym("(");
-                w.sym(")");
+                w.sym(agg_bit(*func) | const { sym_bit("(") | sym_bit(")") });
                 match arg {
                     AggArg::Star => {
-                        w.sym("*");
+                        w.sym(const { sym_bit("*") });
                         Some(())
                     }
                     AggArg::Column(c) => w.col(c),
                 }
             }
         })?;
-        self.sym("FROM");
+        self.sym(const { sym_bit("FROM") });
         self.word(&q.from.name)?;
         for join in &q.joins {
-            self.sym("JOIN");
+            self.sym(const { sym_bit("JOIN") | sym_bit("ON") | sym_bit("=") });
             self.word(&join.table.name)?;
-            self.sym("ON");
             self.col(&join.left)?;
-            self.sym("=");
             self.col(&join.right)?;
         }
         if let Some(w) = &q.where_clause {
-            self.sym("WHERE");
+            self.sym(const { sym_bit("WHERE") });
             self.expr(w, 0)?;
         }
         if !q.group_by.is_empty() {
-            self.sym("GROUP");
-            self.sym("BY");
+            self.sym(const { sym_bit("GROUP") | sym_bit("BY") });
             self.list(&q.group_by, Walk::col)?;
         }
         if !q.order_by.is_empty() {
-            self.sym("ORDER");
-            self.sym("BY");
+            self.sym(const { sym_bit("ORDER") | sym_bit("BY") });
             self.list(&q.order_by, |w, o| {
                 w.col(&o.col)?;
                 if o.desc {
-                    w.sym("DESC");
+                    w.sym(const { sym_bit("DESC") });
                 }
                 Some(())
             })?;
         }
         if let Some(limit) = q.limit {
-            self.sym("LIMIT");
-            self.0.push(QueryToken::Int(i64::try_from(limit).ok()?));
+            self.sym(const { sym_bit("LIMIT") });
+            self.push(QueryToken::Int(i64::try_from(limit).ok()?));
         }
         Some(())
     }
@@ -300,7 +472,7 @@ impl<'q> Walk<'q> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{AggFunc, CompareOp, Join, OrderItem, TableRef};
+    use crate::ast::{Join, OrderItem, TableRef};
     use crate::parser::parse_query;
 
     fn tokens(sql: &str) -> TokenSet {
@@ -529,6 +701,96 @@ mod tests {
             assert_eq!(err.phase, crate::error::Phase::Lex, "{q}");
             assert_eq!(Err(err), relexed(&q), "{q}");
         }
+    }
+
+    #[test]
+    fn every_walk_spelling_has_its_own_bit() {
+        let ops = [
+            CompareOp::Eq,
+            CompareOp::Ne,
+            CompareOp::Lt,
+            CompareOp::Le,
+            CompareOp::Gt,
+            CompareOp::Ge,
+        ];
+        let aggs = [
+            AggFunc::Count,
+            AggFunc::Sum,
+            AggFunc::Avg,
+            AggFunc::Min,
+            AggFunc::Max,
+        ];
+        // The lexer's punctuation, spelled as `token_set_of_text` spells it.
+        let punctuation = [
+            Token::Comma,
+            Token::Dot,
+            Token::LParen,
+            Token::RParen,
+            Token::Star,
+            Token::Eq,
+            Token::Ne,
+            Token::Lt,
+            Token::Le,
+            Token::Gt,
+            Token::Ge,
+        ]
+        .map(|t| t.to_string());
+        let mut spellings: Vec<&str> = KEYWORDS.to_vec();
+        spellings.extend(punctuation.iter().map(String::as_str));
+        assert_eq!(
+            spellings.len(),
+            SYMBOLS.len(),
+            "the table holds nothing else"
+        );
+        let mut seen = 0u64;
+        for s in &spellings {
+            let bit = sym_bit(s);
+            assert_eq!(bit.count_ones(), 1, "{s}");
+            assert_eq!(SYMBOLS[bit.trailing_zeros() as usize], *s);
+            assert_eq!(seen & bit, 0, "{s} shares a bit");
+            seen |= bit;
+        }
+        for op in ops {
+            assert_eq!(op_bit(op), sym_bit(op.symbol()), "{op:?}");
+        }
+        for func in aggs {
+            assert_eq!(agg_bit(func), sym_bit(func.name()), "{func:?}");
+        }
+        let distinct_ops: BTreeSet<u64> = ops.into_iter().map(op_bit).collect();
+        let distinct_aggs: BTreeSet<u64> = aggs.into_iter().map(agg_bit).collect();
+        assert_eq!((distinct_ops.len(), distinct_aggs.len()), (6, 5));
+    }
+
+    #[test]
+    fn byte_table_matches_the_word_predicate() {
+        for b in 0..=u8::MAX {
+            let class = WORD_BYTES[usize::from(b)];
+            assert_eq!(
+                class & WORD_START != 0,
+                matches!(b, b'a'..=b'z' | b'_'),
+                "start {b:#04x}"
+            );
+            assert_eq!(
+                class & WORD_CONTINUE != 0,
+                matches!(b, b'a'..=b'z' | b'0'..=b'9' | b'_'),
+                "continue {b:#04x}"
+            );
+        }
+    }
+
+    #[test]
+    fn keyword_guard_is_the_longest_keyword() {
+        assert_eq!("distinct".len(), LONGEST_KEYWORD);
+        for name in ["distinct", "DISTINCT", "Distinct"] {
+            let q = ast(|q| q.from = TableRef::new(name));
+            assert!(!is_plain_word(name), "{name}");
+            assert!(query_tokens(&q).is_none(), "walked {q}");
+            assert_eq!(token_set(&q), relexed(&q), "{q}");
+        }
+        let q = ast(|q| q.from = TableRef::new("distincts"));
+        assert!(is_plain_word("distincts"));
+        assert!(query_tokens(&q).is_some(), "fell back on {q}");
+        assert_eq!(token_set(&q), relexed(&q), "{q}");
     }
 
     #[test]
