@@ -8,11 +8,14 @@
 //! encryption preserves them up to item renaming. The
 //! `association_rules_encrypted` integration test exercises exactly that.
 //!
-//! Classic level-wise Apriori (Agrawal & Srikant): generate candidate
-//! k-itemsets from frequent (k−1)-itemsets, prune by the downward-closure
-//! property, count, repeat.
+//! Level-wise Apriori (Agrawal & Srikant) in its vertical, tidset form
+//! (Zaki's Eclat): items are interned to ids in ascending item order, each
+//! id gets a bitset over the transactions, and a candidate's support is the
+//! popcount of the AND of its two parents' bitsets. Because ids follow item
+//! order, the itemsets, supports and output order are those of the
+//! classic horizontal algorithm.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// A transaction: a set of items.
 pub type Transaction<T> = BTreeSet<T>;
@@ -45,78 +48,166 @@ pub fn frequent_itemsets<T: Ord + Clone>(
     transactions: &[Transaction<T>],
     min_support: usize,
 ) -> Vec<FrequentItemset<T>> {
-    assert!(min_support >= 1, "min_support must be at least 1");
-    let mut result: Vec<FrequentItemset<T>> = Vec::new();
-
-    // Level 1: frequent single items.
-    let mut counts: BTreeMap<&T, usize> = BTreeMap::new();
-    for t in transactions {
-        for item in t {
-            *counts.entry(item).or_default() += 1;
-        }
-    }
-    let mut current: Vec<BTreeSet<T>> = counts
-        .iter()
-        .filter(|(_, &c)| c >= min_support)
-        .map(|(item, _)| {
-            let mut s = BTreeSet::new();
-            s.insert((*item).clone());
-            s
-        })
-        .collect();
-    for itemset in &current {
-        let support = count_support(transactions, itemset);
-        result.push(FrequentItemset {
-            items: itemset.clone(),
+    let (items, tidsets) = intern(transactions);
+    mine(&tidsets, min_support)
+        .into_iter()
+        .map(|(ids, support)| FrequentItemset {
+            items: ids.iter().map(|&id| items[id as usize].clone()).collect(),
             support,
-        });
-    }
-
-    // Level k: join frequent (k−1)-itemsets sharing a (k−2)-prefix.
-    while !current.is_empty() {
-        let mut candidates: BTreeSet<BTreeSet<T>> = BTreeSet::new();
-        for i in 0..current.len() {
-            for j in i + 1..current.len() {
-                let union: BTreeSet<T> = current[i].union(&current[j]).cloned().collect();
-                if union.len() != current[i].len() + 1 {
-                    continue;
-                }
-                // Downward closure: every (k−1)-subset must be frequent.
-                let all_subsets_frequent = union.iter().all(|drop| {
-                    let mut sub = union.clone();
-                    sub.remove(drop);
-                    current.contains(&sub)
-                });
-                if all_subsets_frequent {
-                    candidates.insert(union);
-                }
-            }
-        }
-        let mut next = Vec::new();
-        for candidate in candidates {
-            let support = count_support(transactions, &candidate);
-            if support >= min_support {
-                result.push(FrequentItemset {
-                    items: candidate.clone(),
-                    support,
-                });
-                next.push(candidate);
-            }
-        }
-        current = next;
-    }
-
-    result.sort_by(|a, b| {
-        a.items
-            .len()
-            .cmp(&b.items.len())
-            .then(a.items.cmp(&b.items))
-    });
-    result
+        })
+        .collect()
 }
 
-fn count_support<T: Ord>(transactions: &[Transaction<T>], itemset: &BTreeSet<T>) -> usize {
-    transactions.iter().filter(|t| itemset.is_subset(t)).count()
+/// [`frequent_itemsets`] over transactions already interned to item ids:
+/// each transaction lists its ids, in any order, repeats allowed. Returns
+/// each frequent itemset as its ascending ids with its support, ordered by
+/// (size, ids) — so a caller whose ids follow its item order gets the
+/// order [`frequent_itemsets`] gives over the items themselves. Each id
+/// up to the largest gets a bitset, so ids should be dense.
+pub fn frequent_id_itemsets(
+    transactions: &[Vec<u32>],
+    min_support: usize,
+) -> Vec<(Vec<u32>, usize)> {
+    let items = transactions
+        .iter()
+        .flatten()
+        .max()
+        .map_or(0, |&id| id as usize + 1);
+    let tidsets = Tidsets::new(
+        items,
+        transactions.iter().map(|t| t.iter().map(|&id| id as usize)),
+    );
+    mine(&tidsets, min_support)
+}
+
+/// One bitset per item id over the transactions: bit `r` of item `i`'s
+/// row is set when transaction `r` holds `i`.
+struct Tidsets {
+    items: usize,
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl Tidsets {
+    fn new<I: IntoIterator<Item = usize>>(
+        items: usize,
+        transactions: impl ExactSizeIterator<Item = I>,
+    ) -> Tidsets {
+        let words = transactions.len().div_ceil(64);
+        let mut bits = vec![0; items * words];
+        for (r, ids) in transactions.enumerate() {
+            for id in ids {
+                bits[id * words + r / 64] |= 1 << (r % 64);
+            }
+        }
+        Tidsets { items, words, bits }
+    }
+
+    fn row(&self, id: usize) -> &[u64] {
+        &self.bits[id * self.words..][..self.words]
+    }
+
+    /// Transactions holding every one of `ids` (non-empty).
+    fn support(&self, ids: &[usize]) -> usize {
+        (0..self.words)
+            .map(|w| {
+                ids.iter()
+                    .fold(!0u64, |acc, &id| acc & self.row(id)[w])
+                    .count_ones() as usize
+            })
+            .sum()
+    }
+}
+
+fn popcount(bits: &[u64]) -> usize {
+    bits.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// Interns the distinct items in ascending order, so id order is item
+/// order, and builds their tidsets.
+fn intern<T: Ord>(transactions: &[Transaction<T>]) -> (Vec<&T>, Tidsets) {
+    let mut items: Vec<&T> = transactions.iter().flatten().collect();
+    items.sort_unstable();
+    items.dedup();
+    let tidsets = Tidsets::new(
+        items.len(),
+        transactions.iter().map(|t| {
+            t.iter()
+                .map(|item| items.binary_search(&item).expect("interned above"))
+        }),
+    );
+    (items, tidsets)
+}
+
+/// The miner: level k + 1 joins two frequent k-itemsets that share their
+/// first k − 1 ids, keeps the candidate only if each of its other k-subsets
+/// is in level k (binary search: levels are sorted), and takes its support
+/// from the AND of the two parents' bitsets. Levels come out sorted by
+/// construction, so the result is in (size, ids) order.
+fn mine(tidsets: &Tidsets, min_support: usize) -> Vec<(Vec<u32>, usize)> {
+    assert!(min_support >= 1, "min_support must be at least 1");
+    let words = tidsets.words;
+    let mut found: Vec<(Vec<u32>, usize)> = Vec::new();
+    let mut level_bits: Vec<u64> = Vec::new();
+    for id in 0..tidsets.items {
+        let row = tidsets.row(id);
+        let support = popcount(row);
+        if support >= min_support {
+            let id = u32::try_from(id).expect("item ids fit in u32");
+            found.push((vec![id], support));
+            level_bits.extend_from_slice(row);
+        }
+    }
+
+    let mut level = 0..found.len();
+    let (mut candidate, mut subset) = (Vec::new(), Vec::new());
+    while !level.is_empty() {
+        let sets = &found[level.clone()];
+        let k = sets[0].0.len();
+        let mut next = Vec::new();
+        let mut next_bits = Vec::new();
+        for (i, (a, _)) in sets.iter().enumerate() {
+            for (j, (b, _)) in sets.iter().enumerate().skip(i + 1) {
+                if a[..k - 1] != b[..k - 1] {
+                    break;
+                }
+                candidate.clear();
+                candidate.extend_from_slice(a);
+                candidate.push(b[k - 1]);
+                // Downward closure prunes ANDs; it cannot change the
+                // result, as support is exact and anti-monotone. Dropping
+                // either of the last two ids gives a parent, so only the
+                // other k − 1 subsets are looked up.
+                let closed = (0..k - 1).all(|drop| {
+                    subset.clear();
+                    subset.extend_from_slice(&candidate[..drop]);
+                    subset.extend_from_slice(&candidate[drop + 1..]);
+                    sets.binary_search_by(|(s, _)| s.as_slice().cmp(&subset))
+                        .is_ok()
+                });
+                if !closed {
+                    continue;
+                }
+                let start = next_bits.len();
+                let (x, y) = (
+                    &level_bits[i * words..][..words],
+                    &level_bits[j * words..][..words],
+                );
+                next_bits.extend(x.iter().zip(y).map(|(x, y)| x & y));
+                let support = popcount(&next_bits[start..]);
+                if support >= min_support {
+                    next.push((candidate.clone(), support));
+                } else {
+                    next_bits.truncate(start);
+                }
+            }
+        }
+        let start = found.len();
+        found.extend(next);
+        level = start..found.len();
+        level_bits = next_bits;
+    }
+    found
 }
 
 /// Generates all rules with `confidence ≥ min_confidence` from the frequent
@@ -127,12 +218,21 @@ pub fn association_rules<T: Ord + Clone>(
     min_confidence: f64,
 ) -> Vec<Rule<T>> {
     assert!((0.0..=1.0).contains(&min_confidence));
+    let (items, tidsets) = intern(transactions);
     let mut rules = Vec::new();
     for fi in itemsets.iter().filter(|fi| fi.items.len() >= 2) {
         for consequent_item in &fi.items {
             let mut antecedent = fi.items.clone();
             antecedent.remove(consequent_item);
-            let antecedent_support = count_support(transactions, &antecedent);
+            // An item no transaction holds gives support 0.
+            let Some(ids) = antecedent
+                .iter()
+                .map(|item| items.binary_search(&item).ok())
+                .collect::<Option<Vec<usize>>>()
+            else {
+                continue;
+            };
+            let antecedent_support = tidsets.support(&ids);
             if antecedent_support == 0 {
                 continue;
             }

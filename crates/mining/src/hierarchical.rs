@@ -155,17 +155,18 @@ impl Dendrogram {
             parent[rb] = merge.id;
         }
         // Renumber roots by smallest member leaf.
-        let mut root_of: Vec<usize> = (0..self.n).map(|i| find(&mut parent, i)).collect();
-        let mut order: Vec<usize> = Vec::new();
-        for &r in &root_of {
-            if !order.contains(&r) {
-                order.push(r);
-            }
-        }
-        for r in &mut root_of {
-            *r = order.iter().position(|x| x == r).unwrap();
-        }
-        root_of
+        let mut label = vec![usize::MAX; total];
+        let mut next = 0;
+        (0..self.n)
+            .map(|i| {
+                let root = find(&mut parent, i);
+                if label[root] == usize::MAX {
+                    label[root] = next;
+                    next += 1;
+                }
+                label[root]
+            })
+            .collect()
     }
 }
 

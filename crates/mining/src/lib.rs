@@ -47,7 +47,9 @@ pub mod outliers;
 pub mod range;
 
 pub use agreement::{adjusted_rand_index, rand_index};
-pub use apriori::{association_rules, frequent_itemsets, FrequentItemset, Rule};
+pub use apriori::{
+    association_rules, frequent_id_itemsets, frequent_itemsets, FrequentItemset, Rule,
+};
 pub use dbscan::{dbscan, DbscanConfig, DbscanLabel};
 pub use hierarchical::{
     agglomerative, average_link, complete_link, single_link, Dendrogram, Linkage, Merge,

@@ -22,7 +22,7 @@ use crate::plan::Plans;
 use crate::request::{Response, ServerError};
 use crate::shard::Shard;
 use dpe_mining::{
-    agglomerative, canonical_dbscan_labels, db_outliers, dbscan, frequent_itemsets, kmedoids,
+    agglomerative, canonical_dbscan_labels, db_outliers, dbscan, frequent_id_itemsets, kmedoids,
     knn_among, lof, lof_outliers, range_among, DbscanConfig, LofConfig, OutlierConfig,
 };
 use std::time::Instant;
@@ -201,10 +201,14 @@ pub(crate) fn execute(
                 }
             },
             PlanOp::Itemsets { min_support } => {
-                let fi = frequent_itemsets(&shard.feature_transactions(), *min_support);
+                let (names, transactions) = shard.feature_transactions();
                 frame.itemsets = Some(
-                    fi.into_iter()
-                        .map(|f| (f.items.into_iter().collect(), f.support))
+                    frequent_id_itemsets(&transactions, *min_support)
+                        .into_iter()
+                        .map(|(ids, support)| {
+                            let items = ids.iter().map(|&id| names[id as usize].clone());
+                            (items.collect(), support)
+                        })
                         .collect(),
                 );
             }

@@ -16,8 +16,9 @@ use crate::plan::Plans;
 use crate::request::ServerError;
 use dpe_distance::index::{MatrixSource, QueryCounters, VpTree};
 use dpe_distance::{DistanceMatrix, QueryDistance};
-use dpe_mining::apriori::Transaction;
-use dpe_sql::{feature_set, Query};
+use dpe_sql::features::FeatureSet;
+use dpe_sql::{feature_set, Feature, Query};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A tenant's slice of the store: queries in insertion order plus the
 /// packed matrix over them, versioned by an epoch that bumps on every
@@ -225,14 +226,33 @@ impl Shard {
         self.plans.clear();
     }
 
-    /// The shard's query log as Apriori transactions: each query's
-    /// `features(Q)` set, printed — set equality is all Apriori reads, so
-    /// this serves plaintext and DPE-encrypted logs alike.
-    pub(crate) fn feature_transactions(&self) -> Vec<Transaction<String>> {
-        self.queries
+    /// The shard's query log as Apriori transactions over interned
+    /// features: each query's `features(Q)` set as item ids, with the
+    /// printed feature of each id. Set equality is all Apriori reads, so
+    /// this serves plaintext and DPE-encrypted logs alike. Each distinct
+    /// feature is printed once; ids follow printed order, so an id-ordered
+    /// itemset is a string-ordered one, and two features that print alike
+    /// share an id.
+    pub(crate) fn feature_transactions(&self) -> (Vec<String>, Vec<Vec<u32>>) {
+        let sets: Vec<FeatureSet> = self.queries.iter().map(feature_set).collect();
+        let features: BTreeSet<&Feature> = sets.iter().flatten().collect();
+        let printed: Vec<String> = features.iter().map(|f| f.to_string()).collect();
+        let mut names = printed.clone();
+        names.sort_unstable();
+        names.dedup();
+        let ids: BTreeMap<&Feature, u32> = features
+            .into_iter()
+            .zip(&printed)
+            .map(|(f, p)| {
+                let id = names.binary_search(p).expect("printed above");
+                (f, u32::try_from(id).expect("feature ids fit in u32"))
+            })
+            .collect();
+        let transactions = sets
             .iter()
-            .map(|q| feature_set(q).iter().map(|f| f.to_string()).collect())
-            .collect()
+            .map(|set| set.iter().map(|f| ids[f]).collect())
+            .collect();
+        (names, transactions)
     }
 }
 

@@ -7,14 +7,18 @@
 //! response is **bit-identical** (`bits_eq`) to a direct `dpe_mining` call
 //! on a distance matrix recomputed sequentially from scratch — a code path
 //! the server never touches. Plan caching and batch coalescing may change
-//! *when* a dendrogram is built, never *what* any cut answers.
+//! *when* a dendrogram is built, never *what* any cut answers. Itemsets are
+//! checked against the level-wise Apriori reference shared with
+//! `dpe-mining`'s `apriori_oracle`, not against the miner the server runs.
 
+#[path = "../../mining/tests/level_wise/mod.rs"]
+mod level_wise;
+
+use dpe_core::{QueryEncryptor, TokenDpe};
+use dpe_crypto::MasterKey;
 use dpe_distance::{DistanceMatrix, TokenDistance};
 use dpe_mining::apriori::Transaction;
-use dpe_mining::{
-    agglomerative, canonical_dbscan_labels, dbscan, frequent_itemsets, kmedoids, DbscanConfig,
-    Linkage,
-};
+use dpe_mining::{agglomerative, canonical_dbscan_labels, dbscan, kmedoids, DbscanConfig, Linkage};
 use dpe_server::{Request, Response, Server, Ticket};
 use dpe_sql::{feature_set, Query};
 use dpe_workload::{LogConfig, LogGenerator};
@@ -101,21 +105,24 @@ fn oracle(matrix: &DistanceMatrix, log: &[Query], request: &Request) -> Response
                 .map(|c| c as i64)
                 .collect(),
         ),
-        Request::FrequentItemsets { min_support, .. } => {
-            let tx: Vec<Transaction<String>> = log
-                .iter()
-                .map(|q| feature_set(q).iter().map(|f| f.to_string()).collect())
-                .collect();
-            Response::Itemsets(
-                frequent_itemsets(&tx, min_support)
-                    .into_iter()
-                    .map(|f| (f.items.into_iter().collect(), f.support))
-                    .collect(),
-            )
-        }
+        Request::FrequentItemsets { min_support, .. } => reference_itemsets(log, min_support),
         Request::Knn { item, k, .. } => Response::Indices(dpe_mining::knn_indices(matrix, item, k)),
         _ => unreachable!("stream only issues clustering kinds + knn"),
     }
+}
+
+/// The level-wise reference over each query's printed `features(Q)`.
+fn reference_itemsets(log: &[Query], min_support: usize) -> Response {
+    let tx: Vec<Transaction<String>> = log
+        .iter()
+        .map(|q| feature_set(q).iter().map(|f| f.to_string()).collect())
+        .collect();
+    Response::Itemsets(
+        level_wise::frequent_itemsets(&tx, min_support)
+            .into_iter()
+            .map(|f| (f.items.into_iter().collect(), f.support))
+            .collect(),
+    )
 }
 
 /// Per-shard (matrix, log) pairs recomputed from scratch — the server
@@ -356,4 +363,39 @@ fn cached_and_uncached_clustering_paths_agree_under_churn() {
     // The response-cache-disabled server still amortizes plan builds —
     // the two caches are independent layers.
     assert!(uncached.stats().plans.hits > 0);
+}
+
+#[test]
+fn served_itemsets_match_reference_on_plaintext_and_ciphertext_shards() {
+    // Shard 0 holds a plaintext log, shard 1 the same log under TokenDpe:
+    // the served miner interns features and orders ids by their printed
+    // form, which must give the reference's items, supports and order at
+    // every support on both.
+    const N: usize = 30;
+    let plain = tenant_log(0, N);
+    let encrypted = TokenDpe::new(&MasterKey::from_bytes([0x1E; 32]))
+        .encrypt_log(&plain)
+        .unwrap();
+    let server = Server::builder(TokenDistance).shards(2).build();
+    server.ingest(0, &plain).unwrap();
+    server.ingest(1, &encrypted).unwrap();
+    for (shard, log) in [(0, &plain), (1, &encrypted)] {
+        let requests: Vec<Request> = (1..=N)
+            .map(|min_support| Request::FrequentItemsets { shard, min_support })
+            .collect();
+        for (request, served) in requests.iter().zip(server.serve_batch(&requests, 2)) {
+            let Request::FrequentItemsets { min_support, .. } = *request else {
+                unreachable!()
+            };
+            let expect = reference_itemsets(log, min_support);
+            let served = served.unwrap();
+            assert!(
+                served.bits_eq(&expect),
+                "shard {shard}, min_support {min_support}"
+            );
+            if let (1, Response::Itemsets(sets)) = (min_support, &served) {
+                assert!(sets.iter().any(|(items, _)| items.len() >= 3));
+            }
+        }
+    }
 }
