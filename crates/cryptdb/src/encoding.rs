@@ -39,20 +39,26 @@ pub fn decode_value(bytes: &[u8]) -> Option<Value> {
 
 /// Renders a ciphertext as an identifier-safe token: `x` + lowercase hex.
 pub fn ident_hex(ct: &Ciphertext) -> String {
-    format!("x{}", ct.to_hex())
+    let mut out = String::with_capacity(1 + 2 * ct.len());
+    out.push('x');
+    ct.push_hex(&mut out);
+    out
 }
 
-/// Parses an [`ident_hex`] token back into ciphertext bytes.
+/// Parses an [`ident_hex`] token back into ciphertext bytes: `None` when
+/// the `x` prefix is missing, the digit count is odd, or any byte after
+/// the prefix is not a hex digit (non-ASCII input included). Digits are
+/// read per byte, in either case.
 pub fn parse_ident_hex(s: &str) -> Option<Ciphertext> {
-    let hex = s.strip_prefix('x')?;
+    let hex = s.strip_prefix('x')?.as_bytes();
     if hex.len() % 2 != 0 {
         return None;
     }
-    let mut bytes = Vec::with_capacity(hex.len() / 2);
-    for i in (0..hex.len()).step_by(2) {
-        bytes.push(u8::from_str_radix(&hex[i..i + 2], 16).ok()?);
-    }
-    Some(Ciphertext(bytes))
+    let nibble = |b: u8| char::from(b).to_digit(16);
+    hex.chunks_exact(2)
+        .map(|pair| Some((nibble(pair[0])? << 4 | nibble(pair[1])?) as u8))
+        .collect::<Option<Vec<u8>>>()
+        .map(Ciphertext)
 }
 
 #[cfg(test)]
@@ -105,5 +111,37 @@ mod tests {
         assert_eq!(parse_ident_hex("dead"), None); // missing prefix
         assert_eq!(parse_ident_hex("xdea"), None); // odd length
         assert_eq!(parse_ident_hex("xzz"), None); // non-hex
+    }
+
+    #[test]
+    fn parse_is_total_on_non_ascii_and_edge_inputs() {
+        // Multi-byte characters used to be sliced at a non-char boundary.
+        assert_eq!(parse_ident_hex("xa€bc"), None);
+        assert_eq!(parse_ident_hex("xé"), None);
+        assert_eq!(parse_ident_hex("x€"), None);
+        assert_eq!(parse_ident_hex("xa"), None); // odd length
+        assert_eq!(parse_ident_hex("xabc"), None);
+        assert_eq!(parse_ident_hex(""), None); // empty, no prefix
+        assert_eq!(parse_ident_hex("x"), Some(Ciphertext(Vec::new())));
+        assert_eq!(parse_ident_hex("x+a"), None); // a sign is no digit
+        assert_eq!(parse_ident_hex("xg0"), None);
+        assert_eq!(
+            parse_ident_hex("xDEad0F"),
+            Some(Ciphertext(vec![0xde, 0xad, 0x0f]))
+        );
+    }
+
+    #[test]
+    fn parse_inverts_ident_hex_for_every_byte() {
+        let every = Ciphertext((0..=u8::MAX).collect());
+        assert_eq!(parse_ident_hex(&ident_hex(&every)), Some(every.clone()));
+        let upper = format!("x{}", every.to_hex().to_ascii_uppercase());
+        assert_eq!(parse_ident_hex(&upper), Some(every));
+        for b in 0..=u8::MAX {
+            let digit = char::from(b);
+            let is_hex = digit.is_ascii_hexdigit();
+            let parsed = parse_ident_hex(&format!("x0{digit}"));
+            assert_eq!(parsed.is_some(), is_hex, "{b:#04x}");
+        }
     }
 }

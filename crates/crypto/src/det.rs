@@ -5,11 +5,15 @@
 //! Equal plaintexts therefore map to byte-identical ciphertexts — exactly the
 //! property the token/structural equivalence notions need — and the IV doubles
 //! as an integrity tag checked at decryption.
+//!
+//! The scheme keeps `K_mac` as an `HmacKey`, whose padded key blocks are
+//! absorbed once when the scheme is built, so the per-plaintext SIV costs
+//! the plaintext's SHA-256 blocks plus one outer block.
 
 use crate::aes::Aes;
 use crate::ctr::ctr_xor;
 use crate::error::CryptoError;
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacKey;
 use crate::keys::SymmetricKey;
 use crate::scheme::{Ciphertext, EncryptionClass, SymmetricScheme};
 use rand::RngCore;
@@ -18,7 +22,7 @@ use rand::RngCore;
 #[derive(Clone)]
 pub struct DetScheme {
     aes: Aes,
-    mac_key: SymmetricKey,
+    mac: HmacKey,
     class: EncryptionClass,
 }
 
@@ -32,18 +36,16 @@ impl DetScheme {
     /// Internal constructor allowing the JOIN usage mode to relabel the
     /// class while reusing the construction.
     pub(crate) fn with_class(key: &SymmetricKey, class: EncryptionClass) -> Self {
-        let enc_key = hmac_sha256(key.as_bytes(), b"det-enc");
-        let mac_key = hmac_sha256(key.as_bytes(), b"det-mac");
+        let derive = HmacKey::new(key.as_bytes());
         DetScheme {
-            aes: Aes::new_256(&enc_key),
-            mac_key: SymmetricKey::from_bytes(mac_key),
+            aes: Aes::new_256(&derive.mac(b"det-enc")),
+            mac: HmacKey::new(&derive.mac(b"det-mac")),
             class,
         }
     }
 
     fn siv(&self, plaintext: &[u8]) -> [u8; 12] {
-        let tag = hmac_sha256(self.mac_key.as_bytes(), plaintext);
-        tag[..12].try_into().unwrap()
+        self.mac.mac(plaintext)[..12].try_into().unwrap()
     }
 }
 

@@ -145,9 +145,24 @@ impl Ciphertext {
     /// Hex rendering (used when ciphertexts stand in for identifiers in
     /// encrypted SQL text).
     pub fn to_hex(&self) -> String {
-        self.0.iter().map(|b| format!("{b:02x}")).collect()
+        let mut out = String::with_capacity(2 * self.len());
+        self.push_hex(&mut out);
+        out
+    }
+
+    /// Appends the [`Ciphertext::to_hex`] rendering to `out`: two
+    /// lowercase hex digits per byte, read from a 16-entry table.
+    pub fn push_hex(&self, out: &mut String) {
+        out.reserve(2 * self.len());
+        for &b in &self.0 {
+            out.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+            out.push(char::from(HEX_DIGITS[usize::from(b & 0x0f)]));
+        }
     }
 }
+
+/// The lowercase hex digits, indexed by nibble value.
+const HEX_DIGITS: [u8; 16] = *b"0123456789abcdef";
 
 impl fmt::Debug for Ciphertext {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -266,5 +281,16 @@ mod tests {
         assert_eq!(ct.to_hex(), "dead01");
         assert_eq!(ct.len(), 3);
         assert!(!ct.is_empty());
+    }
+
+    #[test]
+    fn table_hex_matches_format_for_every_byte() {
+        let every = Ciphertext((0..=u8::MAX).collect());
+        let formatted: String = every.0.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(every.to_hex(), formatted);
+        assert_eq!(Ciphertext(Vec::new()).to_hex(), "");
+        let mut appended = String::from("x");
+        every.push_hex(&mut appended);
+        assert_eq!(appended, format!("x{formatted}"));
     }
 }

@@ -15,6 +15,13 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
+/// `0x80` then zeros: every padding [`Sha256::finalize`] writes is a prefix.
+const PADDING: [u8; 64] = {
+    let mut padding = [0u8; 64];
+    padding[0] = 0x80;
+    padding
+};
+
 /// Incremental SHA-256 hasher.
 #[derive(Clone)]
 pub struct Sha256 {
@@ -71,16 +78,15 @@ impl Sha256 {
     }
 
     /// Finishes and returns the 32-byte digest.
+    ///
+    /// The padding goes in by one `update`: `0x80` and the 0 to 63 zeros
+    /// that end it 8 bytes before a block edge. The 64-bit bit length then
+    /// completes the final block.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
-        }
-        // Length goes directly into the buffer to avoid double-counting.
-        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
-        self.compress(&block);
+        self.update(&PADDING[..((119 - self.buffered) & 63) + 1]);
+        self.update(&bit_len.to_be_bytes());
+        debug_assert_eq!(self.buffered, 0);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -197,15 +203,51 @@ mod tests {
 
     #[test]
     fn incremental_byte_at_a_time() {
-        // The exact pattern `finalize`'s padding loop relies on: many
-        // 1-byte updates into a partial buffer (the regression shape of the
-        // buffered-clobber bug).
+        // Many 1-byte updates into a partial buffer: the regression shape
+        // of the buffered-clobber bug.
         let data = b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
         let mut h = Sha256::new();
         for b in data {
             h.update(&[*b]);
         }
         assert_eq!(h.finalize(), sha256(data));
+    }
+
+    /// The padding loop `finalize` used before it wrote the final block in
+    /// one step: one `update` per padding byte.
+    fn finalize_bytewise(mut h: Sha256) -> [u8; 32] {
+        let bit_len = h.total_len.wrapping_mul(8);
+        h.update(&[0x80]);
+        while h.buffered != 56 {
+            h.update(&[0]);
+        }
+        h.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
+        let block = h.buffer;
+        h.compress(&block);
+        let mut out = [0u8; 32];
+        for (i, word) in h.state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn one_step_padding_matches_bytewise_padding_at_every_length() {
+        // 0..=200 crosses the 55/56 (one or two final blocks) and 63/64
+        // (empty buffer) edges three times.
+        let data: Vec<u8> = (0..=200u8).map(|i| i.wrapping_mul(37) ^ 0xa5).collect();
+        for len in 0..=data.len() {
+            let message = &data[..len];
+            let oneshot = sha256(message);
+            let mut bytewise = Sha256::new();
+            for b in message {
+                bytewise.update(&[*b]);
+            }
+            assert_eq!(oneshot, bytewise.finalize(), "byte-at-a-time, len {len}");
+            let mut old = Sha256::new();
+            old.update(message);
+            assert_eq!(oneshot, finalize_bytewise(old), "old padding, len {len}");
+        }
     }
 
     #[test]

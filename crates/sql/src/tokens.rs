@@ -260,26 +260,6 @@ pub fn token_set_of_text(sql: &str) -> Result<TokenSet, SqlError> {
         .collect())
 }
 
-/// [`WORD_BYTES`] class: the byte may start a plain word (`[a-z_]`).
-const WORD_START: u8 = 1;
-/// [`WORD_BYTES`] class: the byte may continue a plain word (`[a-z0-9_]`).
-const WORD_CONTINUE: u8 = 2;
-
-/// The word classes of every byte.
-static WORD_BYTES: [u8; 256] = {
-    let mut table = [0u8; 256];
-    let mut b = 0;
-    while b < 256 {
-        table[b] = match b as u8 {
-            b'a'..=b'z' | b'_' => WORD_START | WORD_CONTINUE,
-            b'0'..=b'9' => WORD_CONTINUE,
-            _ => 0,
-        };
-        b += 1;
-    }
-    table
-};
-
 /// The length of the longest keyword: a longer word is no keyword.
 const LONGEST_KEYWORD: usize = {
     let mut longest = 0;
@@ -293,18 +273,48 @@ const LONGEST_KEYWORD: usize = {
     longest
 };
 
+/// A word of at most eight bytes as one integer: its bytes lowercased,
+/// little-endian and zero-padded. Words hold no zero byte, so words that
+/// differ other than in case pack apart.
+const fn pack_word(word: &[u8]) -> u64 {
+    let mut packed = 0;
+    let mut i = 0;
+    while i < word.len() {
+        packed |= (word[i].to_ascii_lowercase() as u64) << (8 * i);
+        i += 1;
+    }
+    packed
+}
+
+/// Every keyword, [`pack_word`]ed: a word is a keyword in some case
+/// exactly when its packing is listed.
+const KEYWORD_PACKS: [u64; KEYWORDS.len()] = {
+    assert!(LONGEST_KEYWORD <= 8, "a keyword packs into one u64");
+    let mut packs = [0; KEYWORDS.len()];
+    let mut i = 0;
+    while i < KEYWORDS.len() {
+        packs[i] = pack_word(KEYWORDS[i].as_bytes());
+        i += 1;
+    }
+    packs
+};
+
 /// `true` when `lex` reads `word`, printed between separators, back as the
-/// identifier `word` itself. One pass over the bytes; only a word no longer
-/// than the longest keyword is compared against [`KEYWORDS`].
+/// identifier `word` itself: a lowercase `[a-z_][a-z0-9_]*` word that is
+/// no keyword. The byte check is one branch-free fold, which the compiler
+/// can vectorize over a long DET identifier; only a word short enough to
+/// be a keyword is then looked up, packed.
 fn is_plain_word(word: &str) -> bool {
-    let Some((&first, tail)) = word.as_bytes().split_first() else {
+    let bytes = word.as_bytes();
+    let Some(first) = bytes.first() else {
         return false;
     };
-    WORD_BYTES[usize::from(first)] & WORD_START != 0
-        && tail
-            .iter()
-            .all(|&b| WORD_BYTES[usize::from(b)] & WORD_CONTINUE != 0)
-        && (word.len() > LONGEST_KEYWORD || !KEYWORDS.iter().any(|k| k.eq_ignore_ascii_case(word)))
+    let all_word_bytes = bytes.iter().fold(true, |ok, &b| {
+        ok & (b.is_ascii_lowercase() | b.is_ascii_digit() | (b == b'_'))
+    });
+    all_word_bytes
+        && !first.is_ascii_digit()
+        && (bytes.len() > LONGEST_KEYWORD || !KEYWORD_PACKS.contains(&pack_word(bytes)))
 }
 
 /// Collects the tokens `Display for Query` prints into a [`TokenSketch`]
@@ -761,20 +771,96 @@ mod tests {
         assert_eq!((distinct_ops.len(), distinct_aggs.len()), (6, 5));
     }
 
+    /// The identifier check's definition: `lex` reads `word` back as
+    /// exactly one identifier spelled `word`.
+    fn lexes_as_itself(word: &str) -> bool {
+        match lex(word).as_deref() {
+            Ok([only]) => only.token == Token::Ident(word.to_string()),
+            _ => false,
+        }
+    }
+
+    fn assert_oracle(word: &str) {
+        assert_eq!(is_plain_word(word), lexes_as_itself(word), "{word:?}");
+    }
+
     #[test]
-    fn byte_table_matches_the_word_predicate() {
-        for b in 0..=u8::MAX {
-            let class = WORD_BYTES[usize::from(b)];
-            assert_eq!(
-                class & WORD_START != 0,
-                matches!(b, b'a'..=b'z' | b'_'),
-                "start {b:#04x}"
-            );
-            assert_eq!(
-                class & WORD_CONTINUE != 0,
-                matches!(b, b'a'..=b'z' | b'0'..=b'9' | b'_'),
-                "continue {b:#04x}"
-            );
+    fn word_check_equals_lexing_on_short_strings_across_class_edges() {
+        // Each byte class edge from both sides, plus a multi-byte char.
+        let alphabet = [
+            '`', 'a', 'z', '{', '/', '0', '9', ':', '_', '@', 'A', 'Z', '[', 'é',
+        ];
+        let mut words = vec![String::new()];
+        let mut level = vec![String::new()];
+        for _ in 0..3 {
+            level = level
+                .iter()
+                .flat_map(|w| alphabet.iter().map(move |c| format!("{w}{c}")))
+                .collect();
+            words.extend(level.iter().cloned());
+        }
+        assert_eq!(words.len(), 1 + 14 + 14 * 14 + 14 * 14 * 14);
+        words.extend((0..=127u8).map(|b| char::from(b).to_string()));
+        for word in &words {
+            assert_oracle(word);
+        }
+    }
+
+    #[test]
+    fn word_check_equals_lexing_on_keywords_and_their_neighbours() {
+        for keyword in KEYWORDS {
+            let lower = keyword.to_ascii_lowercase();
+            let mixed: String = lower
+                .chars()
+                .enumerate()
+                .map(|(i, c)| {
+                    if i % 2 == 0 {
+                        c.to_ascii_uppercase()
+                    } else {
+                        c
+                    }
+                })
+                .collect();
+            let mut words = vec![keyword.to_string(), lower.clone(), mixed];
+            for extra in ['a', 'z', '_', '0', 's'] {
+                words.push(format!("{lower}{extra}"));
+                words.push(format!("{extra}{lower}"));
+            }
+            words.push(lower[1..].to_string());
+            words.push(lower[..lower.len() - 1].to_string());
+            for word in &words {
+                assert_oracle(word);
+            }
+            assert!(!is_plain_word(&lower), "{lower}");
+        }
+    }
+
+    #[test]
+    fn word_check_equals_lexing_on_random_identifiers() {
+        // splitmix64: a fixed, dependency-free stream.
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        const SHORT: &[u8] = b"abinorstxyzAB09_-.";
+        for _ in 0..10_000 {
+            // A DET identifier: `x` + the hex of a 12- to 20-byte ciphertext.
+            let len = 2 * (12 + (next() % 9) as usize);
+            let ident: String = std::iter::once('x')
+                .chain((0..len).map(|_| char::from(HEX[(next() % 16) as usize])))
+                .collect();
+            assert!(is_plain_word(&ident), "{ident}");
+            assert_oracle(&ident);
+            let len = 1 + (next() % 9) as usize;
+            let short: String = (0..len)
+                .map(|_| char::from(SHORT[(next() % SHORT.len() as u64) as usize]))
+                .collect();
+            assert_oracle(&short);
         }
     }
 
